@@ -121,22 +121,6 @@ int main() {
         },
         flows, net::ServiceClass::kPredicted);
   }
-  // Pure ordering backends (the default above is kAuto): the heap rows are
-  // the pre-calendar baseline, the calendar rows isolate the bucketed
-  // structure — kept benched forever alongside the differential tests.
-  for (const auto& [suffix, backend] :
-       {std::pair{"_heap", sched::OrderBackend::kHeap},
-        std::pair{"_cal", sched::OrderBackend::kCalendar}}) {
-    for (int flows : {1, 100}) {
-      run_cycle(
-          report, std::string("wfq") + suffix,
-          [backend] {
-            return std::make_unique<sched::WfqScheduler>(
-                sched::WfqScheduler::Config{1e6, 100000, 1e4, backend});
-          },
-          flows, net::ServiceClass::kPredicted);
-    }
-  }
   run_cycle(
       report, "priority_over_fifo",
       [] {
@@ -169,21 +153,6 @@ int main() {
           return s;
         },
         flows, net::ServiceClass::kGuaranteed);
-  }
-  for (const auto& [suffix, backend] :
-       {std::pair{"_heap", sched::OrderBackend::kHeap},
-        std::pair{"_cal", sched::OrderBackend::kCalendar}}) {
-    run_cycle(
-        report, std::string("unified_guaranteed") + suffix,
-        [backend] {
-          auto s = std::make_unique<sched::UnifiedScheduler>(
-              sched::UnifiedScheduler::Config{1e6, 100000, 2, 1.0 / 4096.0,
-                                              true, sim::kTimeInfinity,
-                                              backend});
-          for (int f = 0; f < 100; ++f) s->add_guaranteed(f, 1e6 / 200.0);
-          return s;
-        },
-        100, net::ServiceClass::kGuaranteed);
   }
   bench_mixed(report);
 

@@ -30,15 +30,11 @@ echo "== scenario smoke =="
 "$BUILD_DIR/scenario_run" --preset fan_in --scale smoke arrival_rate=0 target_flows=8 >/dev/null
 "$BUILD_DIR/scenario_run" --preset parking_lot --scale smoke arrival_rate=0 target_flows=12 >/dev/null
 "$BUILD_DIR/scenario_run" --preset churn --scale smoke run_seconds=2 >/dev/null
-# Failure preset under both event backends: explicit failures (so the
-# 2-second smoke really takes links down) must reroute, rebalance the
-# ledger (failed_link_drops bucket) and exit 0 — on the wheel as on the
-# heap.
-for eb in heap wheel; do
-  "$BUILD_DIR/scenario_run" --preset failure run_seconds=2 \
-    link_failure_rate=0 event_backend="$eb" \
-    --fail-link 0:2@0.5,up@1.4 --fail-link 6:8@0.9 >/dev/null
-done
+# Failure preset: explicit failures (so the 2-second smoke really takes
+# links down) must reroute, rebalance the ledger (failed_link_drops
+# bucket) and exit 0.
+"$BUILD_DIR/scenario_run" --preset failure run_seconds=2 \
+  link_failure_rate=0 --fail-link 0:2@0.5,up@1.4 --fail-link 6:8@0.9 >/dev/null
 # Sharded parallel core at 1 and 4 workers: any worker count must produce
 # the identical report (test_shard_diff proves byte-identity; this smoke
 # catches CLI/runner wiring and threading crashes in a plain build).

@@ -9,7 +9,6 @@ namespace ispn::core {
 
 IspnNetwork::IspnNetwork(Config config)
     : config_(std::move(config)),
-      net_(config_.event_backend),
       admission_(config_.admission) {
   assert(!config_.class_targets.empty());
   assert(std::is_sorted(config_.class_targets.begin(),
@@ -34,7 +33,6 @@ net::LinkSchedulerFactory IspnNetwork::qos_link_factory() {
         static_cast<int>(config_.class_targets.size()),
         config_.fifo_plus_gain, config_.fifo_plus,
         config_.stale_offset_threshold};
-    sched_config.order_backend = config_.order_backend;
     sched_config.hierarchical = config_.hierarchical;
     sched_config.binary_feedback = config_.binary_feedback;
     sched_config.mark_threshold = config_.mark_threshold;

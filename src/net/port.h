@@ -100,7 +100,7 @@ class Port {
   /// this direction.  The draw sequence comes from a dedicated Rng
   /// (re)seeded here, so an episode's drops are a function of (seed,
   /// stream, packets transmitted since the episode began) — identical
-  /// across shard counts and backends.
+  /// across shard counts.
   void set_loss(double prob, std::uint64_t seed, std::uint64_t stream);
   [[nodiscard]] double loss_prob() const { return loss_prob_; }
 

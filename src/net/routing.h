@@ -33,7 +33,7 @@ struct LinkEvent {
 
 /// A deterministic sequence of link events.  Built once (explicit specs
 /// or seeded draws) before the run starts, then injected through the
-/// event core, so replays are byte-identical across backends.
+/// event core, so replays are byte-identical.
 using FailureSchedule = std::vector<LinkEvent>;
 
 /// Normalized undirected link key for down-link sets.

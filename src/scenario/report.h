@@ -165,7 +165,7 @@ struct ScenarioReport {
   // Direct-mapped lookup caches (DEC-TR-592) on the per-packet hot paths,
   // summed across all nodes: switch dst -> port and host flow -> sink.
   // Deterministic (probe sequence == packet sequence), so the golden
-  // suite can pin them across backends.
+  // suite can pin them.
   std::uint64_t route_cache_hits = 0;
   std::uint64_t route_cache_misses = 0;
   std::uint64_t sink_cache_hits = 0;

@@ -11,12 +11,11 @@
 //
 // State per backlogged flow is one re-keyable entry in an indexed ordering
 // (keyed by the flow's largest finish tag) plus its weight in a dense
-// vector.  The ordering backend is selectable at construction
-// (util::OrderBackend): an indexed min-heap, or a calendar queue bucketed
-// over virtual time that makes the departure-epoch advance O(1) amortized
-// instead of full-depth re-keys — both produce the identical epoch order
-// (same keys, same id tie-break), so V(t) trajectories are bit-equal under
-// either backend (asserted by tests/test_order_backend_diff.cc).  The
+// vector.  The ordering is a util::OrderIndex: an indexed min-heap while
+// few flows are backlogged, a calendar queue bucketed over virtual time
+// once 48 are (O(1) amortized departure-epoch advance instead of
+// full-depth re-keys).  Both yield the identical epoch order (same keys,
+// same id tie-break), so V(t) is bit-equal whichever one serves.  The
 // slope and its reciprocal are recomputed only when the backlogged-weight
 // sum changes (slope_dirty_), so the steady-state advance performs no
 // division; stamp() takes the caller's cached 1/weight so tag math is
@@ -61,10 +60,9 @@ class FluidClock {
     kTracked,  ///< reweight() takes effect immediately (unified's flow 0)
   };
 
-  explicit FluidClock(
-      sim::Rate link_rate, Flow0Policy policy = Flow0Policy::kPinned,
-      util::OrderBackend backend = util::OrderBackend::kAuto)
-      : link_rate_(link_rate), policy_(policy), fluid_(backend) {
+  explicit FluidClock(sim::Rate link_rate,
+                      Flow0Policy policy = Flow0Policy::kPinned)
+      : link_rate_(link_rate), policy_(policy) {
     assert(link_rate_ > 0);
   }
 

@@ -15,10 +15,6 @@
 
 namespace ispn::sched {
 
-/// Which virtual-time ordering structure a scheduler uses (heap vs
-/// calendar queue) — re-exported so configs can say sched::OrderBackend.
-using util::OrderBackend;
-
 /// Key of a flow's head packet in the packetized WFQ selection: smallest
 /// (finish tag, arrival order) transmits next.
 struct HeadKey {

@@ -10,9 +10,7 @@ namespace ispn::sched {
 UnifiedScheduler::UnifiedScheduler(Config config)
     : config_(config),
       flow0_weight_(config.link_rate),
-      clock_(config.link_rate, FluidClock::Flow0Policy::kTracked,
-             config.order_backend),
-      heads_(config.order_backend),
+      clock_(config.link_rate, FluidClock::Flow0Policy::kTracked),
       flow0_inv_weight_(1.0 / config.link_rate) {
   assert(config_.link_rate > 0);
   assert(config_.num_predicted_classes >= 1);

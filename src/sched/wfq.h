@@ -18,13 +18,10 @@
 // sight, so memory scales with flows seen, never with max(FlowId)) with
 // each flow's FIFO a power-of-two ring, and both orderings — fluid departure epochs (inside
 // FluidClock) and head-of-flow finish tags — are indexed structures
-// holding exactly one entry per flow, re-keyed in place.  The ordering
-// backend is selectable at construction (Config::order_backend): an
-// indexed min-heap, or a calendar queue bucketed over virtual time whose
-// re-keys are O(1) amortized instead of full-depth sifts.  Both backends
-// produce byte-identical departure sequences (same (finish, order) total
-// order — proven by tests/test_order_backend_diff.cc), so the choice is
-// purely a performance knob.  No red-black trees, no per-node allocation,
+// holding exactly one entry per flow, re-keyed in place.  Each is a
+// util::OrderIndex: an indexed min-heap at a handful of flows, a calendar
+// queue bucketed over virtual time (O(1) amortized re-keys instead of
+// full-depth sifts) from 48.  No red-black trees, no per-node allocation,
 // no stale-entry traffic.
 //
 // With Σ φ_α ≤ C and a flow conforming to an (r, b) token bucket with
@@ -52,9 +49,6 @@ class WfqScheduler final : public Scheduler {
     /// Weight assigned on first sight of a flow that was never add_flow()ed.
     /// Useful for egalitarian Fair Queueing (Table 1/2 use equal weights).
     double default_weight = 1.0;
-    /// Ordering structure for the fluid epochs and head finish tags; every
-    /// backend departs packets in the identical order.
-    OrderBackend order_backend = OrderBackend::kAuto;
   };
 
   explicit WfqScheduler(Config config);

@@ -119,9 +119,9 @@ EventQueue::Fired EventQueue::pop_front_live() {
     release_slot(k.slot);
   }
   --live_;
-  if (live_ == 0 && backend_ == EventBackend::kAuto && on_wheel_) {
+  if (live_ == 0 && on_wheel_) {
     // Free reset point: nothing live to migrate, so drop any stale keys
-    // and fall back to the heap (the better backend while small).
+    // and go back to the heap (the faster structure while small).
     wheel_.reset(tick_of(last_pop_time_));
     on_wheel_ = false;
   }

@@ -12,21 +12,19 @@
 //     no cancelled-id set to probe on every pop, and a cancelled id can
 //     never leak (the stale ordering key is discarded by generation
 //     mismatch when it surfaces).
-//   * Ordering lives in one of two interchangeable backends holding small
-//     (time, seq, slot, gen) keys:
-//       - EventBackend::kHeap  — a 4-ary min-heap; O(log n) sift, the
-//         better constant below a few dozen pending events;
-//       - EventBackend::kWheel — a hierarchical timing wheel
-//         (util/timing_wheel.h); O(1) insert with lazy cascade, the
-//         winner at the hundreds-to-thousands of pending events that
-//         multi-hop Table runs keep in flight;
-//       - EventBackend::kAuto  — starts on the heap, migrates every key
-//         to the wheel when the pending count first exceeds
-//         kAutoWheelThreshold, and falls back to the heap when the queue
-//         drains empty (a free reset point: nothing to migrate).
-//     Both backends pop in the identical (time, seq) total order — proven
-//     byte-for-byte by tests/test_event_backend_diff.cc — so the knob is
-//     purely a performance choice.
+//   * Ordering lives in small (time, seq, slot, gen) keys, held by one of
+//     two structures chosen by the pending count:
+//       - up to kWheelThreshold (64) pending events, a 4-ary min-heap:
+//         O(log n) sifts, but at this size two or three levels beat the
+//         wheel's bucket bookkeeping;
+//       - past 64, a hierarchical timing wheel (util/timing_wheel.h):
+//         O(1) insert with lazy cascade, the winner at the hundreds to
+//         millions of pending events that multi-hop runs keep in flight.
+//     Every key moves from the heap to the wheel when an insert finds 64
+//     events already pending.  When the queue drains empty it goes back
+//     to the heap: a free reset point, with nothing to migrate.  Both structures
+//     pop in the identical (time, seq) total order, so the switch never
+//     changes which event fires next.
 //   * Actions are InlineAction: closures up to 48 bytes are stored in the
 //     slot itself; larger ones heap-box once (the cold-path escape hatch).
 //   * Persistent timers (sim/timer.h) occupy a slab slot for their whole
@@ -70,16 +68,12 @@ using TimerSlot = std::uint32_t;
 /// Sentinel for "no timer slot".
 inline constexpr TimerSlot kInvalidTimerSlot = ~TimerSlot{0};
 
-/// Real-time ordering structure; see the header comment for the trade-off.
-enum class EventBackend : std::uint8_t { kHeap, kWheel, kAuto };
-
 /// Slab-allocated timed-event queue with stable same-time ordering, O(1)
-/// cancel, and a heap or timing-wheel ordering backend.  Not thread-safe:
-/// the simulator is single-threaded by design.
+/// cancel, and size-switched heap / timing-wheel ordering.  Not
+/// thread-safe: the simulator is single-threaded by design.
 class EventQueue {
  public:
-  explicit EventQueue(EventBackend backend = EventBackend::kAuto)
-      : backend_(backend), on_wheel_(backend == EventBackend::kWheel) {}
+  EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -176,15 +170,12 @@ class EventQueue {
   [[nodiscard]] std::size_t slab_slots() const { return slots_.size(); }
   [[nodiscard]] std::size_t free_slots() const { return free_.size(); }
 
-  /// The backend requested at construction / the structure currently
-  /// holding the keys (kAuto migrates between the two).
-  [[nodiscard]] EventBackend backend() const { return backend_; }
-  [[nodiscard]] EventBackend active_backend() const {
-    return on_wheel_ ? EventBackend::kWheel : EventBackend::kHeap;
-  }
+  /// True while the keys live on the timing wheel (diagnostic).
+  [[nodiscard]] bool on_wheel() const { return on_wheel_; }
 
-  /// kAuto's heap -> wheel migration point (pending count).
-  static constexpr std::size_t kAutoWheelThreshold = 64;
+  /// The heap holds at most this many pending events; the next insert
+  /// moves every key to the wheel.
+  static constexpr std::size_t kWheelThreshold = 64;
 
   /// Current wheel tick resolution (escalates under load; diagnostic).
   [[nodiscard]] double ticks_per_sec() const { return ticks_per_sec_; }
@@ -215,8 +206,8 @@ class EventQueue {
   /// enough that distinct transmission instants land in distinct buckets
   /// (a 1 Mbit/s link transmits one packet per ~131 ticks), coarse enough
   /// that typical horizons need only two or three wheel levels — sub-tick
-  /// coincidences are resolved exactly by the sorted run, so resolution is
-  /// purely a performance knob.  A run that piles ~10^5+ events into a
+  /// coincidences are resolved exactly by the sorted run, so resolution
+  /// affects only speed.  A run that piles ~10^5+ events into a
   /// handful of ticks collapses the wheel into a giant sort: resolution
   /// then escalates x64 per step, up to 2^29 ticks/s,
   /// re-filing pending keys under the finer tick map.  The trigger is
@@ -284,8 +275,7 @@ class EventQueue {
   }
 
   void push_key(const Key& k) {
-    if (!on_wheel_ && backend_ == EventBackend::kAuto &&
-        live_ >= kAutoWheelThreshold) {
+    if (!on_wheel_ && live_ >= kWheelThreshold) {
       migrate_to_wheel();
     }
     if (on_wheel_) {
@@ -299,8 +289,9 @@ class EventQueue {
     }
   }
 
-  /// Moves every key from the heap onto the wheel (kAuto upgrade).  Stale
-  /// keys migrate too and are skimmed as usual when they surface.
+  /// Moves every key from the heap onto the wheel (an insert found
+  /// kWheelThreshold events pending).  Stale keys migrate too and are
+  /// skimmed as usual when they surface.
   void migrate_to_wheel();
 
   /// Raises the wheel resolution x64 and re-files every pending key under
@@ -322,7 +313,6 @@ class EventQueue {
   std::vector<std::uint32_t> free_;
   util::DaryHeap<Key, KeyLess, 4> heap_;
   Wheel wheel_;
-  EventBackend backend_ = EventBackend::kAuto;
   bool on_wheel_ = false;
   double ticks_per_sec_ = kBaseTicksPerSec;
   std::size_t adapt_at_ = kAdaptOccupancy;  // x64 after each escalation

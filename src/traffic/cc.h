@@ -1,7 +1,7 @@
 // Pluggable congestion control — the policy seam behind TcpSource.
 //
-// A vtable-free stack selector in the style of OrderBackend / EventBackend /
-// ShardSync: one enum (`CcAlgo`), one flat state object, switch dispatch.
+// A vtable-free stack selector: one enum (`CcAlgo`), one flat state
+// object, switch dispatch.
 // Three stacks share the seam:
 //
 //   * kReno — the original Tahoe/NewReno loss-window arithmetic: slow
@@ -14,7 +14,7 @@
 //     pacing_rate()).  Loss does not collapse the window; an RTO falls
 //     back to packet conservation until the model refills.  No randomness
 //     anywhere: the probe cycle starts at a fixed phase, so runs are
-//     byte-identical across backends and shard counts.
+//     byte-identical across shard counts.
 //   * kRack — time-based loss detection in the RACK style: duplicate ACKs
 //     never trigger an immediate retransmit; instead the transport arms a
 //     reorder timer for the earliest outstanding segment's send time plus

@@ -11,8 +11,8 @@
 // by day in O(1) amortized, and the minimum is found by walking forward
 // from the last-known-min day instead of sifting.
 //
-// Determinism contract (the reason this structure can replace the heap at
-// all): pop()/top() yield entries in exactly the total order
+// Determinism contract (the reason this structure can stand in for the
+// heap at all): pop()/top() yield entries in exactly the total order
 //
 //     KeyLess, ties broken by ascending id
 //
@@ -20,10 +20,8 @@
 // function is monotone in the projected key, KeyLess orders primarily by
 // that same projection, and each bucket is kept sorted under the full
 // comparator, so equal-key ties resolve exactly as the heap resolves
-// them.  tests/test_order_backend_diff.cc runs seeded fuzz workloads
-// through both backends and asserts byte-identical departure traces;
-// tests/test_util_structures.cc checks the structure against the heap
-// directly.
+// them.  tests/test_util_structures.cc checks the structure against the
+// heap and OrderIndex against a sorted reference.
 //
 // Layout.  A power-of-two number of buckets (growing 16x each time
 // occupancy crosses a 10^5-seeded threshold, up to 2^16) covers one
@@ -47,9 +45,8 @@
 // minimum width).  Retunes rebuild in O(n log n), deterministically: the
 // decision depends only on the operation sequence.
 //
-// OrderBackend/OrderIndex at the bottom of this header let a scheduler
-// choose heap or calendar at construction while both stay compiled and
-// differentially tested.
+// OrderIndex at the bottom of this header is what the schedulers use: the
+// heap while the population is small, this calendar once it is not.
 
 #pragma once
 
@@ -89,7 +86,7 @@ class IndexedCalendarQueue {
       : bucket_bits_(bucket_bits) {
     assert(bucket_bits_ >= 2 && bucket_bits_ <= 16);
     // The bucket array (2^bucket_bits vectors) is allocated on first
-    // file(): a heap-backend OrderIndex carries this class around unused,
+    // file(): an OrderIndex that stays small carries this class unused,
     // and solo-only populations never bucket anything either.
     set_width_exp(exp_of(width_hint));
   }
@@ -529,30 +526,18 @@ class IndexedCalendarQueue {
   Project project_;
 };
 
-/// Which ordering structure a scheduler's virtual-time indexes use.  All
-/// three yield the same total order (proven by the differential harness).
-enum class OrderBackend : std::uint8_t {
-  kHeap,      ///< util::IndexedDaryHeap — comparison heap, O(log n) re-keys
-  kCalendar,  ///< util::IndexedCalendarQueue — bucketed, O(1) amortized
-  kAuto,      ///< heap while small, calendar once it pays — the default
-};
-
-/// Runtime-selectable indexed ordering: the heap and the calendar behind
-/// one interface, chosen once at construction.  Both members stay compiled
-/// into every scheduler so the differential tests and benches can always
-/// instantiate either.
+/// Indexed ordering for the schedulers' virtual-time tags: the heap while
+/// the population is small, the calendar once it is not.
 ///
-/// kAuto exists because the structures win in disjoint regimes: at a
-/// handful of entries the heap's two-or-three-element sifts are
-/// unbeatable, while past a few dozen flows its full-depth re-keys lose to
-/// the calendar's O(1) bucketing by roughly 2×.  Auto runs the heap until
-/// the population crosses kAutoUp, migrates (a pop/upsert drain — O(n log
-/// n), rare), and falls back below kAutoDown; the wide hysteresis band
-/// keeps a jittering population from thrashing.  Migration cannot perturb
-/// departure order: both structures hold exactly the same (key, id) set
-/// and yield the same total order, so which one happens to serve a given
-/// pop is unobservable — the differential harness checks auto against both
-/// pure backends.
+/// The structures win in disjoint regimes.  At a handful of entries the
+/// heap's two-or-three-element sifts are unbeatable, while past a few
+/// dozen flows its full-depth re-keys lose to the calendar's O(1)
+/// bucketing by roughly 2x.  The index runs the heap until the population
+/// reaches kCalendarAt, migrates (a pop/upsert drain — O(n log n), rare),
+/// and goes back to the heap at kHeapAt or fewer; the wide hysteresis
+/// band keeps a jittering population from thrashing.  Migration cannot
+/// perturb departure order: both structures hold exactly the same
+/// (key, id) set and yield the same total order.
 template <typename Key, typename KeyLess, typename Project = ScalarProject>
 class OrderIndex {
  public:
@@ -560,20 +545,16 @@ class OrderIndex {
   using Calendar = IndexedCalendarQueue<Key, KeyLess, Project>;
   using Entry = typename Heap::Entry;  // layout-identical to Calendar's
 
-  static constexpr std::size_t kAutoUp = 48;    ///< heap -> calendar at ≥
-  static constexpr std::size_t kAutoDown = 12;  ///< calendar -> heap at ≤
+  static constexpr std::size_t kCalendarAt = 48;  ///< heap -> calendar at ≥
+  static constexpr std::size_t kHeapAt = 12;      ///< calendar -> heap at ≤
 
-  explicit OrderIndex(OrderBackend backend, double width_hint = 1.0 / 16.0)
-      : backend_(backend),
-        on_calendar_(backend == OrderBackend::kCalendar),
-        calendar_(width_hint) {}
+  explicit OrderIndex(double width_hint = 1.0 / 16.0)
+      : calendar_(width_hint) {}
 
-  [[nodiscard]] OrderBackend backend() const { return backend_; }
-
-  /// True while ops are routed to the calendar (fixed unless kAuto).
+  /// True while ops are routed to the calendar (diagnostic).
   [[nodiscard]] bool on_calendar() const { return on_calendar_; }
 
-  /// The calendar member (diagnostic: width/scan stats; empty under kHeap).
+  /// The calendar member (diagnostic: width/scan stats; empty while small).
   [[nodiscard]] const Calendar& calendar() const { return calendar_; }
 
   [[nodiscard]] bool empty() const {
@@ -594,7 +575,7 @@ class OrderIndex {
   Entry pop() {
     if (!on_calendar_) return heap_.pop();
     const typename Calendar::Entry e = calendar_.pop();
-    if (backend_ == OrderBackend::kAuto && calendar_.size() <= kAutoDown) {
+    if (calendar_.size() <= kHeapAt) {
       migrate_to_heap();
     }
     return Entry{e.key, e.id};
@@ -605,7 +586,7 @@ class OrderIndex {
       calendar_.upsert(id, std::move(key));
     } else {
       heap_.upsert(id, std::move(key));
-      if (backend_ == OrderBackend::kAuto && heap_.size() >= kAutoUp) {
+      if (heap_.size() >= kCalendarAt) {
         migrate_to_calendar();
       }
     }
@@ -614,7 +595,7 @@ class OrderIndex {
   bool erase(std::uint32_t id) {
     if (!on_calendar_) return heap_.erase(id);
     const bool hit = calendar_.erase(id);
-    if (backend_ == OrderBackend::kAuto && calendar_.size() <= kAutoDown) {
+    if (calendar_.size() <= kHeapAt) {
       migrate_to_heap();
     }
     return hit;
@@ -642,8 +623,7 @@ class OrderIndex {
     on_calendar_ = false;
   }
 
-  OrderBackend backend_;
-  bool on_calendar_;
+  bool on_calendar_ = false;
   Heap heap_;
   Calendar calendar_;
 };

@@ -9,7 +9,7 @@
 // must return exactly what the backing lookup would, so correctness never
 // depends on hit/miss behaviour — but the hit/miss counters themselves
 // are deterministic (the probe sequence is the packet arrival sequence,
-// which the differential suites prove byte-identical across backends), so
+// which the golden digests pin across commits), so
 // they can be exported in reports and compared across runs.
 //
 // invalidate() clears every entry; call it whenever the backing structure

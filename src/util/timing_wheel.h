@@ -202,7 +202,7 @@ class TimingWheel {
   }
 
   /// Discards every entry and restarts the wheel at `cursor` (used when a
-  /// drained queue migrates backends).  Keeps pool and run capacities.
+  /// drained event queue goes back to its heap).  Keeps pool and run capacities.
   void reset(Tick cursor) {
     buckets_.fill(kNil);
     occ_.fill(0);

@@ -3,12 +3,15 @@
 // The contract: a responsive (TCP-driven) scenario is a function of the
 // SPEC alone.  For every CC stack {reno, bbr, rack} the packet trace, the
 // admission decision log, the conservation ledger, the per-flow outcome
-// table AND the new feedback counters (marks, echoes, backoffs) must be
-// byte-identical across EventBackend {heap, wheel} x OrderBackend {heap,
-// calendar} x shard counts.  As everywhere else in this repo, shards=0
-// (classic, zero propagation delay) and shards>=1 (per-hop link latency)
-// are distinct deterministic references; within each reference class every
-// combination must agree bit-for-bit, doubles compared with ==.
+// table AND the feedback counters (marks, echoes, backoffs) are pinned
+// through tests/diff_harness.h:
+//
+//   * classic runs (shards=0) against their committed digests in
+//     tests/golden_digests.txt;
+//   * sharded runs across shard counts {1, 2, 4}, record for record.
+//
+// shards=0 (classic, zero propagation delay) and shards>=1 (per-hop link
+// latency) are distinct deterministic references by design.
 //
 // Two seeded workloads per stack: a dumbbell (2-switch chain, the
 // canonical shared bottleneck) and an overloaded parking lot (drops =>
@@ -18,115 +21,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
-#include "net/tracer.h"
-#include "scenario/runner.h"
+#include "diff_harness.h"
 
 namespace ispn {
 namespace {
-
-struct CcRun {
-  std::vector<net::PacketTracer::Record> trace;
-  std::uint64_t decision_hash = 0;
-  std::uint64_t events = 0;
-  // Conservation ledger.
-  std::uint64_t generated = 0, source_drops = 0, injected = 0, delivered = 0,
-                net_drops = 0, queued_end = 0, unclaimed = 0;
-  // Responsive-plane counters.
-  std::uint64_t cc_flows = 0, cc_marks = 0, cc_mark_samples = 0, cc_echoes = 0,
-                cc_backoffs = 0;
-  std::uint64_t tcp_segments = 0, tcp_delivered = 0, tcp_retransmits = 0,
-                tcp_timeouts = 0, tcp_reorder_timeouts = 0;
-  std::vector<scenario::FlowOutcome> flows;
-};
-
-CcRun run_cc(scenario::ScenarioSpec spec, int shards,
-             sim::EventBackend event_backend,
-             sched::OrderBackend order_backend) {
-  spec.shards = shards;
-  spec.event_backend = event_backend;
-  spec.order_backend = order_backend;
-  scenario::ScenarioRunner runner(std::move(spec));
-  net::PacketTracer tracer(1u << 22);
-  runner.set_tracer(&tracer);
-  runner.prepare();
-  tracer.attach(runner.net());
-  const scenario::ScenarioReport report = runner.run();
-  tracer.finalize();
-
-  EXPECT_FALSE(tracer.truncated());
-  EXPECT_TRUE(report.conserved());
-  CcRun out;
-  out.trace = tracer.records();
-  out.decision_hash = report.decision_hash();
-  out.events = report.events;
-  out.generated = report.generated;
-  out.source_drops = report.source_drops;
-  out.injected = report.injected;
-  out.delivered = report.delivered;
-  out.net_drops = report.net_drops;
-  out.queued_end = report.queued_end;
-  out.unclaimed = report.unclaimed;
-  out.cc_flows = report.cc_flows;
-  out.cc_marks = report.cc_marks;
-  out.cc_mark_samples = report.cc_mark_samples;
-  out.cc_echoes = report.cc_echoes;
-  out.cc_backoffs = report.cc_backoffs;
-  out.tcp_segments = report.tcp_segments;
-  out.tcp_delivered = report.tcp_delivered;
-  out.tcp_retransmits = report.tcp_retransmits;
-  out.tcp_timeouts = report.tcp_timeouts;
-  out.tcp_reorder_timeouts = report.tcp_reorder_timeouts;
-  out.flows = report.flows;
-  return out;
-}
-
-void expect_identical(const CcRun& ref, const CcRun& got,
-                      const std::string& what) {
-  ASSERT_EQ(ref.trace.size(), got.trace.size()) << what;
-  for (std::size_t i = 0; i < ref.trace.size(); ++i) {
-    const auto& a = ref.trace[i];
-    const auto& b = got.trace[i];
-    ASSERT_TRUE(a.time == b.time && a.event == b.event && a.flow == b.flow &&
-                a.seq == b.seq && a.node == b.node &&
-                a.queueing_delay == b.queueing_delay &&
-                a.jitter_offset == b.jitter_offset)
-        << what << ": first divergence at record " << i << " (t=" << a.time
-        << " flow " << a.flow << " seq " << a.seq << ")";
-  }
-  EXPECT_EQ(ref.decision_hash, got.decision_hash) << what;
-  EXPECT_EQ(ref.events, got.events) << what;
-  EXPECT_EQ(ref.generated, got.generated) << what;
-  EXPECT_EQ(ref.source_drops, got.source_drops) << what;
-  EXPECT_EQ(ref.injected, got.injected) << what;
-  EXPECT_EQ(ref.delivered, got.delivered) << what;
-  EXPECT_EQ(ref.net_drops, got.net_drops) << what;
-  EXPECT_EQ(ref.queued_end, got.queued_end) << what;
-  EXPECT_EQ(ref.unclaimed, got.unclaimed) << what;
-  EXPECT_EQ(ref.cc_flows, got.cc_flows) << what;
-  EXPECT_EQ(ref.cc_marks, got.cc_marks) << what;
-  EXPECT_EQ(ref.cc_mark_samples, got.cc_mark_samples) << what;
-  EXPECT_EQ(ref.cc_echoes, got.cc_echoes) << what;
-  EXPECT_EQ(ref.cc_backoffs, got.cc_backoffs) << what;
-  EXPECT_EQ(ref.tcp_segments, got.tcp_segments) << what;
-  EXPECT_EQ(ref.tcp_delivered, got.tcp_delivered) << what;
-  EXPECT_EQ(ref.tcp_retransmits, got.tcp_retransmits) << what;
-  EXPECT_EQ(ref.tcp_timeouts, got.tcp_timeouts) << what;
-  EXPECT_EQ(ref.tcp_reorder_timeouts, got.tcp_reorder_timeouts) << what;
-
-  ASSERT_EQ(ref.flows.size(), got.flows.size()) << what;
-  for (std::size_t i = 0; i < ref.flows.size(); ++i) {
-    const auto& a = ref.flows[i];
-    const auto& b = got.flows[i];
-    EXPECT_EQ(a.flow, b.flow) << what;
-    EXPECT_EQ(a.service, b.service) << what;
-    EXPECT_EQ(a.admitted, b.admitted) << what;
-    EXPECT_EQ(a.delivered, b.delivered) << what << " flow " << a.flow;
-    EXPECT_EQ(a.max_delay, b.max_delay) << what << " flow " << a.flow;
-    EXPECT_EQ(a.bound, b.bound) << what << " flow " << a.flow;
-  }
-}
 
 scenario::ScenarioSpec dumbbell_spec(scenario::CcKind cc, std::uint64_t seed) {
   scenario::ScenarioSpec spec = scenario::preset("chain");
@@ -159,70 +58,37 @@ scenario::ScenarioSpec parking_spec(scenario::CcKind cc, std::uint64_t seed) {
 constexpr scenario::CcKind kStacks[] = {
     scenario::CcKind::kReno, scenario::CcKind::kBbr, scenario::CcKind::kRack};
 
-/// shards=0: the classic single-clock reference, crossed over both event
-/// backends and both ordering backends.
-void classic_diff(const scenario::ScenarioSpec& spec, const std::string& label) {
-  const CcRun ref = run_cc(spec, 0, sim::EventBackend::kHeap,
-                           sched::OrderBackend::kHeap);
-  EXPECT_GT(ref.trace.size(), 500u)
-      << label << ": workload too small to prove anything";
-  EXPECT_GT(ref.cc_flows, 0u) << label << ": no responsive flow attached";
-  EXPECT_GT(ref.tcp_segments, 0u) << label;
-
-  struct Combo {
-    sim::EventBackend event;
-    sched::OrderBackend order;
-    const char* name;
-  };
-  const Combo combos[] = {
-      {sim::EventBackend::kWheel, sched::OrderBackend::kHeap,
-       "wheel x heap-order"},
-      {sim::EventBackend::kHeap, sched::OrderBackend::kCalendar,
-       "heap x calendar-order"},
-      {sim::EventBackend::kWheel, sched::OrderBackend::kCalendar,
-       "wheel x calendar-order"},
-  };
-  for (const Combo& c : combos) {
-    expect_identical(ref, run_cc(spec, 0, c.event, c.order),
-                     label + " under " + c.name);
-  }
+/// shards=0: the classic single-clock run, checked against its digest.
+void classic_digest(const scenario::ScenarioSpec& spec,
+                    const std::string& key) {
+  const diff::Run run = diff::run_scenario(spec, 0);
+  EXPECT_GT(run.trace.size(), 500u)
+      << key << ": workload too small to prove anything";
+  EXPECT_GT(run.report.cc_flows, 0u) << key << ": no responsive flow attached";
+  EXPECT_GT(run.report.tcp_segments, 0u) << key;
+  diff::expect_digest(key, diff::digest(run));
 }
 
-/// shards>=1: the sharded reference, crossed over worker counts and event
-/// backends (all mutually byte-identical).
+/// shards>=1: the sharded reference, identical at every worker count.
 void sharded_diff(const scenario::ScenarioSpec& spec,
                   const std::string& label) {
-  const CcRun ref = run_cc(spec, 1, sim::EventBackend::kHeap,
-                           sched::OrderBackend::kHeap);
+  const diff::Run ref = diff::run_scenario(spec, 1);
   EXPECT_GT(ref.trace.size(), 500u)
       << label << ": workload too small to prove anything";
-  EXPECT_GT(ref.cc_flows, 0u) << label << ": no responsive flow attached";
-
-  struct Combo {
-    int shards;
-    sim::EventBackend event;
-    const char* name;
-  };
-  const Combo combos[] = {
-      {1, sim::EventBackend::kWheel, "1 x wheel"},
-      {2, sim::EventBackend::kHeap, "2 x heap"},
-      {2, sim::EventBackend::kWheel, "2 x wheel"},
-      {4, sim::EventBackend::kHeap, "4 x heap"},
-  };
-  for (const Combo& c : combos) {
-    expect_identical(ref,
-                     run_cc(spec, c.shards, c.event,
-                            sched::OrderBackend::kHeap),
-                     label + " under shards x backend = " + c.name);
+  EXPECT_GT(ref.report.cc_flows, 0u)
+      << label << ": no responsive flow attached";
+  for (const int shards : {2, 4}) {
+    diff::expect_identical(ref, diff::run_scenario(spec, shards),
+                           label + " at shards=" + std::to_string(shards));
   }
 }
 
-TEST(CcDiff, DumbbellClassicBackendsAgreePerStack) {
+TEST(CcDiff, DumbbellClassicMatchesDigestsPerStack) {
   for (const auto cc : kStacks) {
     for (const std::uint64_t seed : {101ull, 102ull}) {
-      classic_diff(dumbbell_spec(cc, seed),
-                   std::string("dumbbell cc=") + scenario::to_string(cc) +
-                       " seed " + std::to_string(seed));
+      classic_digest(dumbbell_spec(cc, seed),
+                     std::string("cc.dumbbell.") + scenario::to_string(cc) +
+                         ".seed" + std::to_string(seed));
     }
   }
 }
@@ -235,12 +101,12 @@ TEST(CcDiff, DumbbellShardedAgreesPerStack) {
   }
 }
 
-TEST(CcDiff, ParkingLotClassicBackendsAgreePerStack) {
+TEST(CcDiff, ParkingLotClassicMatchesDigestsPerStack) {
   for (const auto cc : kStacks) {
     for (const std::uint64_t seed : {201ull, 202ull}) {
-      classic_diff(parking_spec(cc, seed),
-                   std::string("parking lot cc=") + scenario::to_string(cc) +
-                       " seed " + std::to_string(seed));
+      classic_digest(parking_spec(cc, seed),
+                     std::string("cc.parking_lot.") + scenario::to_string(cc) +
+                         ".seed" + std::to_string(seed));
     }
   }
 }
@@ -257,8 +123,8 @@ TEST(CcDiff, MixedStacksAgreeAcrossEverything) {
   // cc=mix assigns reno/bbr/rack round-robin by flow id: all three stacks
   // interleave on the same bottleneck in one run.
   for (const std::uint64_t seed : {301ull, 302ull}) {
-    const auto spec = dumbbell_spec(scenario::CcKind::kMix, seed);
-    classic_diff(spec, "dumbbell cc=mix seed " + std::to_string(seed));
+    classic_digest(dumbbell_spec(scenario::CcKind::kMix, seed),
+                   "cc.dumbbell.mix.seed" + std::to_string(seed));
   }
   sharded_diff(parking_spec(scenario::CcKind::kMix, 303),
                "parking lot cc=mix seed 303");
@@ -267,24 +133,21 @@ TEST(CcDiff, MixedStacksAgreeAcrossEverything) {
 TEST(CcDiff, StacksActuallyDiffer) {
   // Sanity against a stub: the three stacks must produce DIFFERENT traces
   // on the same seed (else the dispatch is dead and the suite proves
-  // nothing).  Compared via segment counts + echo counts, which diverge
+  // nothing).  Compared via segment counts + event counts, which diverge
   // as soon as pacing/loss-detection behaviour differs.
-  const CcRun reno = run_cc(dumbbell_spec(scenario::CcKind::kReno, 101), 0,
-                            sim::EventBackend::kHeap,
-                            sched::OrderBackend::kHeap);
-  const CcRun bbr = run_cc(dumbbell_spec(scenario::CcKind::kBbr, 101), 0,
-                           sim::EventBackend::kHeap,
-                           sched::OrderBackend::kHeap);
-  const CcRun rack = run_cc(dumbbell_spec(scenario::CcKind::kRack, 101), 0,
-                            sim::EventBackend::kHeap,
-                            sched::OrderBackend::kHeap);
+  const auto run = [](scenario::CcKind cc) {
+    return diff::run_scenario(dumbbell_spec(cc, 101), 0);
+  };
+  const diff::Run reno = run(scenario::CcKind::kReno);
+  const diff::Run bbr = run(scenario::CcKind::kBbr);
+  const diff::Run rack = run(scenario::CcKind::kRack);
   EXPECT_TRUE(reno.trace.size() != bbr.trace.size() ||
-              reno.tcp_segments != bbr.tcp_segments ||
-              reno.events != bbr.events)
+              reno.report.tcp_segments != bbr.report.tcp_segments ||
+              reno.report.events != bbr.report.events)
       << "reno and bbr produced identical runs";
   EXPECT_TRUE(rack.trace.size() != bbr.trace.size() ||
-              rack.tcp_segments != bbr.tcp_segments ||
-              rack.events != bbr.events)
+              rack.report.tcp_segments != bbr.report.tcp_segments ||
+              rack.report.events != bbr.report.events)
       << "rack and bbr produced identical runs";
 }
 

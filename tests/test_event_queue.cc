@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace ispn::sim {
@@ -214,150 +220,352 @@ TEST(EventQueue, ManyCancelledEntriesDoNotAccumulate) {
   EXPECT_LE(q.slab_slots(), 32u);
 }
 
-// --- backend-parameterized ordering and staleness tests -------------------
-// The heap and the timing wheel must be observationally identical; these
-// run the ordering-sensitive cases against both (and kAuto, which
-// migrates between them mid-run).
+// --- ordering and staleness on both sides of the size switch -------------
+// The queue orders keys on a heap below kWheelThreshold pending events and
+// on the timing wheel above.  Each case below runs twice: alone (heap,
+// except where the case itself grows past the threshold) and on top of
+// idle ballast events parked far in the future, which keep the queue on
+// the wheel for the whole case.
 
-class EventQueueBackendTest : public ::testing::TestWithParam<EventBackend> {};
+constexpr Time kBallastAt = 1e9;
+constexpr std::size_t kBallasts[] = {0, 100};
 
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueBackendTest,
-                         ::testing::Values(EventBackend::kHeap,
-                                           EventBackend::kWheel,
-                                           EventBackend::kAuto),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case EventBackend::kHeap: return "heap";
-                             case EventBackend::kWheel: return "wheel";
-                             case EventBackend::kAuto: return "auto";
-                           }
-                           return "unknown";
-                         });
-
-TEST_P(EventQueueBackendTest, PopsInTimeThenFifoOrder) {
-  EventQueue q(GetParam());
-  std::vector<int> fired;
-  q.schedule(3.0, [&] { fired.push_back(30); });
-  q.schedule(1.0, [&] { fired.push_back(10); });
-  q.schedule(1.0, [&] { fired.push_back(11); });  // same time: FIFO
-  q.schedule(2.0, [&] { fired.push_back(20); });
-  q.schedule(1.0, [&] { fired.push_back(12); });
-  while (!q.empty()) q.pop().action();
-  EXPECT_EQ(fired, (std::vector<int>{10, 11, 12, 20, 30}));
+/// Runs `body(q, ballast)` once per ballast size, on a fresh queue that
+/// already holds `ballast` idle events at kBallastAt.
+template <typename Body>
+void at_both_sizes(Body body) {
+  for (const std::size_t ballast : kBallasts) {
+    SCOPED_TRACE("ballast " + std::to_string(ballast));
+    EventQueue q;
+    for (std::size_t i = 0; i < ballast; ++i) q.schedule(kBallastAt, [] {});
+    EXPECT_EQ(q.on_wheel(), ballast > EventQueue::kWheelThreshold);
+    body(q, ballast);
+  }
 }
 
-TEST_P(EventQueueBackendTest, SubTickCoincidencesStayExactlyOrdered) {
-  // Times closer together than any coarse bucketing the backend might use
-  // (nanoseconds apart) must still pop in exact time order.
-  EventQueue q(GetParam());
-  std::vector<int> fired;
-  q.schedule(1.0 + 3e-9, [&] { fired.push_back(3); });
-  q.schedule(1.0 + 1e-9, [&] { fired.push_back(1); });
-  q.schedule(1.0 + 2e-9, [&] { fired.push_back(2); });
-  q.schedule(1.0, [&] { fired.push_back(0); });
-  while (!q.empty()) q.pop().action();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
+/// Pops and fires everything scheduled before the ballast.
+void drain(EventQueue& q, std::size_t ballast) {
+  while (q.size() > ballast) q.pop()();
 }
 
-TEST_P(EventQueueBackendTest, ScheduleDuringPopAtSameInstantFiresInOrder) {
-  // An event firing at t may schedule more work at t; it must run after
-  // everything already pending at t (FIFO), even if the backend had
-  // already sorted that instant's run.
-  EventQueue q(GetParam());
-  std::vector<int> fired;
-  q.schedule(1.0, [&] {
-    fired.push_back(1);
-    q.schedule(1.0, [&] { fired.push_back(3); });
+TEST(EventQueueOrder, PopsInTimeThenFifoOrder) {
+  at_both_sizes([](EventQueue& q, std::size_t ballast) {
+    std::vector<int> fired;
+    q.schedule(3.0, [&] { fired.push_back(30); });
+    q.schedule(1.0, [&] { fired.push_back(10); });
+    q.schedule(1.0, [&] { fired.push_back(11); });  // same time: FIFO
+    q.schedule(2.0, [&] { fired.push_back(20); });
+    q.schedule(1.0, [&] { fired.push_back(12); });
+    drain(q, ballast);
+    EXPECT_EQ(fired, (std::vector<int>{10, 11, 12, 20, 30}));
   });
-  q.schedule(1.0, [&] { fired.push_back(2); });
-  q.schedule(2.0, [&] { fired.push_back(4); });
-  while (!q.empty()) q.pop().action();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
 }
 
-// Satellite: next_time()/pop() must advance cleanly over large bands of
-// stale keys left by cancel bursts (the port retry pattern at scale).
-TEST_P(EventQueueBackendTest, StaleKeyAdvanceAfterHeavyCancelBursts) {
-  EventQueue q(GetParam());
-  std::vector<int> fired;
-  // Interleave survivors with doomed events across a wide time range so
-  // stale keys pepper every wheel level, then cancel in bursts.
-  std::vector<EventId> doomed;
-  for (int i = 0; i < 500; ++i) {
-    const double t = 0.01 * (i + 1);
-    if (i % 10 == 0) {
-      q.schedule(t, [&fired, i] { fired.push_back(i); });
-    } else {
-      doomed.push_back(q.schedule(t, [&fired] { fired.push_back(-1); }));
-    }
-  }
-  for (EventId id : doomed) EXPECT_TRUE(q.cancel(id));
-  EXPECT_EQ(q.size(), 50u);
-  // next_time must skim every stale prefix and report the live head.
-  EXPECT_DOUBLE_EQ(q.next_time(), 0.01);
-  int expected = 0;
-  while (!q.empty()) {
-    const Time t = q.next_time();
-    auto f = q.pop();
-    EXPECT_DOUBLE_EQ(f.time, t);
-    f.action();
-    EXPECT_EQ(fired.back(), expected);
-    expected += 10;
-  }
-  EXPECT_EQ(fired.size(), 50u);
-  // Every slot is recyclable afterwards: nothing leaked.
-  EXPECT_EQ(q.free_slots(), q.slab_slots());
+TEST(EventQueueOrder, SubTickCoincidencesStayExactlyOrdered) {
+  // Times closer together than any wheel bucket (nanoseconds apart) must
+  // still pop in exact time order.
+  at_both_sizes([](EventQueue& q, std::size_t ballast) {
+    std::vector<int> fired;
+    q.schedule(1.0 + 3e-9, [&] { fired.push_back(3); });
+    q.schedule(1.0 + 1e-9, [&] { fired.push_back(1); });
+    q.schedule(1.0 + 2e-9, [&] { fired.push_back(2); });
+    q.schedule(1.0, [&] { fired.push_back(0); });
+    drain(q, ballast);
+    EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
+  });
 }
 
-// Satellite: cancel() on an already-fired id must return false and never
-// touch a recycled slot, even after the slot has cycled through many
-// generations (the 32-bit generation makes an accidental match need 2^32
-// reuses; this pins the mechanism across a dense slice of them).
-TEST_P(EventQueueBackendTest, StaleIdsNeverCancelAcrossGenerations) {
-  EventQueue q(GetParam());
-  EventId first = kInvalidEventId;
-  EventId previous = kInvalidEventId;
-  for (int round = 0; round < 50000; ++round) {
-    // One live event at a time: every round recycles the same slot with a
-    // fresh generation.
-    const EventId id = q.schedule(1.0 + round * 1e-5, [] {});
-    EXPECT_NE(id, previous);
-    if (first == kInvalidEventId) first = id;
-    // Ids from every earlier generation must have gone inert.
-    if (round > 0) {
-      EXPECT_FALSE(q.cancel(previous));
-      EXPECT_FALSE(q.cancel(first));
-    }
-    q.pop();
-    EXPECT_FALSE(q.cancel(id));  // cancel-after-fire
-    previous = id;
-  }
-  EXPECT_LE(q.slab_slots(), 2u);
-  EXPECT_TRUE(q.empty());
+TEST(EventQueueOrder, ScheduleDuringPopAtSameInstantFiresInOrder) {
+  // An event firing at t may schedule more work at t; it must run after
+  // everything already pending at t (FIFO), even if the wheel had already
+  // sorted that instant's run.
+  at_both_sizes([](EventQueue& q, std::size_t ballast) {
+    std::vector<int> fired;
+    q.schedule(1.0, [&] {
+      fired.push_back(1);
+      q.schedule(1.0, [&] { fired.push_back(3); });
+    });
+    q.schedule(1.0, [&] { fired.push_back(2); });
+    q.schedule(2.0, [&] { fired.push_back(4); });
+    drain(q, ballast);
+    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
+  });
 }
 
-TEST_P(EventQueueBackendTest, CancelBurstThenRefillReusesSlots) {
-  EventQueue q(GetParam());
-  for (int wave = 0; wave < 20; ++wave) {
-    std::vector<EventId> ids;
-    for (int i = 0; i < 200; ++i) {
-      ids.push_back(q.schedule(0.001 * i + wave, [] {}));
-    }
-    // Cancel all but every 7th, pop the survivors.
-    std::size_t live = 0;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (i % 7 != 0) {
-        EXPECT_TRUE(q.cancel(ids[i]));
+// next_time()/pop() must advance cleanly over large bands of stale keys
+// left by cancel bursts (the port retry pattern at scale).
+TEST(EventQueueOrder, StaleKeyAdvanceAfterHeavyCancelBursts) {
+  at_both_sizes([](EventQueue& q, std::size_t ballast) {
+    std::vector<int> fired;
+    // Interleave survivors with doomed events across a wide time range so
+    // stale keys pepper every wheel level, then cancel in bursts.
+    std::vector<EventId> doomed;
+    for (int i = 0; i < 500; ++i) {
+      const double t = 0.01 * (i + 1);
+      if (i % 10 == 0) {
+        q.schedule(t, [&fired, i] { fired.push_back(i); });
       } else {
-        ++live;
+        doomed.push_back(q.schedule(t, [&fired] { fired.push_back(-1); }));
       }
     }
-    EXPECT_EQ(q.size(), live);
-    while (!q.empty()) q.pop();
+    for (EventId id : doomed) EXPECT_TRUE(q.cancel(id));
+    EXPECT_EQ(q.size(), 50u + ballast);
+    // next_time must skim every stale prefix and report the live head.
+    EXPECT_DOUBLE_EQ(q.next_time(), 0.01);
+    int expected = 0;
+    while (q.size() > ballast) {
+      const Time t = q.next_time();
+      auto f = q.pop();
+      EXPECT_DOUBLE_EQ(f.time, t);
+      f();
+      EXPECT_EQ(fired.back(), expected);
+      expected += 10;
+    }
+    EXPECT_EQ(fired.size(), 50u);
+    // Every slot but the ballast's is recyclable afterwards: no leak.
+    EXPECT_EQ(q.free_slots() + ballast, q.slab_slots());
+  });
+}
+
+// cancel() on an already-fired id must return false and never touch a
+// recycled slot, even after the slot has cycled through many generations
+// (the 32-bit generation makes an accidental match need 2^32 reuses; this
+// pins the mechanism across a dense slice of them).
+TEST(EventQueueOrder, StaleIdsNeverCancelAcrossGenerations) {
+  at_both_sizes([](EventQueue& q, std::size_t ballast) {
+    EventId first = kInvalidEventId;
+    EventId previous = kInvalidEventId;
+    for (int round = 0; round < 50000; ++round) {
+      // One live event at a time: every round recycles the same slot with
+      // a fresh generation.
+      const EventId id = q.schedule(1.0 + round * 1e-5, [] {});
+      EXPECT_NE(id, previous);
+      if (first == kInvalidEventId) first = id;
+      // Ids from every earlier generation must have gone inert.
+      if (round > 0) {
+        EXPECT_FALSE(q.cancel(previous));
+        EXPECT_FALSE(q.cancel(first));
+      }
+      q.pop();
+      EXPECT_FALSE(q.cancel(id));  // cancel-after-fire
+      previous = id;
+    }
+    EXPECT_LE(q.slab_slots(), 2u + ballast);
+    EXPECT_EQ(q.size(), ballast);
+  });
+}
+
+TEST(EventQueueOrder, CancelBurstThenRefillReusesSlots) {
+  at_both_sizes([](EventQueue& q, std::size_t ballast) {
+    for (int wave = 0; wave < 20; ++wave) {
+      std::vector<EventId> ids;
+      for (int i = 0; i < 200; ++i) {
+        ids.push_back(q.schedule(0.001 * i + wave, [] {}));
+      }
+      // Cancel all but every 7th, pop the survivors.
+      std::size_t live = 0;
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (i % 7 != 0) {
+          EXPECT_TRUE(q.cancel(ids[i]));
+        } else {
+          ++live;
+        }
+      }
+      EXPECT_EQ(q.size(), live + ballast);
+      drain(q, ballast);
+    }
+    // Slab bounded by one wave's peak, not the 4000 events scheduled.
+    EXPECT_LE(q.slab_slots(), 256u + ballast);
+    EXPECT_EQ(q.free_slots() + ballast, q.slab_slots());
+  });
+}
+
+// --- the size switch -------------------------------------------------------
+
+TEST(EventQueueSwitch, MovesToWheelAbove64AndBackAtDrain) {
+  EventQueue q;
+  // The heap holds up to kWheelThreshold keys; the next insert moves
+  // every key to the wheel.
+  for (std::size_t i = 0; i < EventQueue::kWheelThreshold; ++i) {
+    q.schedule(0.001 * static_cast<double>(i + 1), [] {});
   }
-  // Slab bounded by one wave's peak, not the 4000 events scheduled.
-  EXPECT_LE(q.slab_slots(), 256u);
-  EXPECT_EQ(q.free_slots(), q.slab_slots());
+  EXPECT_FALSE(q.on_wheel());
+  for (int i = 0; i < 136; ++i) q.schedule(0.1 + 0.001 * i, [] {});
+  EXPECT_TRUE(q.on_wheel());
+  std::vector<Time> times;
+  while (!q.empty()) {
+    times.push_back(q.pop().time);
+    if (!q.empty()) {
+      EXPECT_TRUE(q.on_wheel()) << "left the wheel early";
+    }
+  }
+  for (std::size_t i = 1; i < times.size(); ++i) {
+    EXPECT_LT(times[i - 1], times[i]);
+  }
+  // Drained: back on the heap, and small loads stay there.
+  EXPECT_FALSE(q.on_wheel());
+  q.schedule(1.0, [] {});
+  EXPECT_FALSE(q.on_wheel());
+}
+
+// Seeded op streams (one-shot schedules across mixed horizons, cancel
+// bursts, persistent-timer arm / re-arm / disarm, interleaved pops) are
+// checked step by step against a test-side (time, seq) reference.  The
+// streams alternate fill phases, which push the pending count past the
+// wheel threshold, and drain phases, which pop the queue empty (where it
+// goes back to the heap), several times per seed.
+TEST(EventQueueSwitch, FuzzMatchesTimeSeqReference) {
+  struct Entry {
+    int tag = 0;
+    EventId id = kInvalidEventId;  ///< one-shot handle (kInvalid: timer)
+    int timer = -1;
+  };
+  using Key = std::pair<Time, std::uint64_t>;
+  constexpr int kTimers = 4;
+
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed * 0x9E3779B9u + 17);
+    EventQueue q;
+    Time now = 0;
+    std::uint64_t next_seq = 0;
+    std::map<Key, Entry> ref;
+    std::map<EventId, Key> one_shots;
+    std::array<std::optional<Key>, kTimers> timer_keys;
+    std::array<int, kTimers> timer_tags{};
+    std::array<InlineAction, kTimers> timer_actions;
+    std::array<TimerSlot, kTimers> timers{};
+    int last_fired = -1;
+    for (int t = 0; t < kTimers; ++t) {
+      timer_actions[t] = InlineAction(
+          [&last_fired, &timer_tags, t] { last_fired = timer_tags[t]; });
+      timers[t] = q.create_timer(&timer_actions[t]);
+    }
+    int next_tag = 0;
+    int pops = 0;
+    int to_wheel = 0;
+    int to_heap = 0;
+    bool was_wheel = false;
+
+    const auto horizon = [&rng]() -> double {
+      switch (rng() % 5) {
+        case 0: return 0.0;                                     // same instant
+        case 1: return 1e-9 * static_cast<double>(rng() % 50);  // sub-tick
+        case 2: return 1e-4 * static_cast<double>(1 + rng() % 100);
+        case 3: return 1e-2 * static_cast<double>(1 + rng() % 100);
+        default: return 10.0 * static_cast<double>(1 + rng() % 10);
+      }
+    };
+    const auto pop_one = [&] {
+      ASSERT_FALSE(ref.empty());
+      const auto [key, want] = *ref.begin();
+      ref.erase(ref.begin());
+      if (want.timer >= 0) {
+        timer_keys[want.timer].reset();
+      } else {
+        one_shots.erase(want.id);
+      }
+      ASSERT_DOUBLE_EQ(q.next_time(), key.first);
+      auto fired = q.pop();
+      ASSERT_EQ(fired.time, key.first);
+      now = fired.time;
+      fired();
+      ASSERT_EQ(last_fired, want.tag) << "at t=" << key.first;
+      ++pops;
+    };
+    const auto note_switch = [&] {
+      if (q.on_wheel() != was_wheel) {
+        was_wheel = q.on_wheel();
+        (was_wheel ? to_wheel : to_heap) += 1;
+      }
+    };
+
+    for (int cycle = 0; cycle < 6; ++cycle) {
+      // Fill: grow well past the threshold amid cancels and timer churn
+      // (schedules outnumber removals, so the population drifts upward).
+      const std::size_t peak = 80 + rng() % 200;
+      while (ref.size() < peak) {
+        switch (rng() % 10) {
+          case 0:
+          case 1:
+          case 2:
+          case 3:
+          case 4:
+          case 5: {  // schedule a one-shot
+            const int tag = next_tag++;
+            const Time at = now + horizon();
+            const EventId id =
+                q.schedule(at, [&last_fired, tag] { last_fired = tag; });
+            const Key key{at, next_seq++};
+            ref[key] = Entry{tag, id, -1};
+            one_shots[id] = key;
+            break;
+          }
+          case 6: {  // cancel burst
+            for (int n = 1 + static_cast<int>(rng() % 4); n > 0; --n) {
+              if (one_shots.empty()) break;
+              auto it = one_shots.begin();
+              std::advance(it, rng() % one_shots.size());
+              ref.erase(it->second);
+              ASSERT_TRUE(q.cancel(it->first));
+              ASSERT_FALSE(q.cancel(it->first));
+              one_shots.erase(it);
+            }
+            break;
+          }
+          case 7: {  // (re-)arm a timer: supersedes any pending arm
+            const int t = static_cast<int>(rng() % kTimers);
+            if (timer_keys[t]) ref.erase(*timer_keys[t]);
+            timer_tags[t] = next_tag++;
+            const Time at = now + horizon();
+            q.arm_timer(timers[t], at);
+            const Key key{at, next_seq++};
+            ref[key] = Entry{timer_tags[t], kInvalidEventId, t};
+            timer_keys[t] = key;
+            break;
+          }
+          case 8: {  // disarm a timer
+            const int t = static_cast<int>(rng() % kTimers);
+            ASSERT_EQ(q.disarm_timer(timers[t]), timer_keys[t].has_value());
+            if (timer_keys[t]) ref.erase(*timer_keys[t]);
+            timer_keys[t].reset();
+            break;
+          }
+          default: {  // pop a short burst
+            for (int n = static_cast<int>(rng() % 4); n > 0 && !ref.empty();
+                 --n) {
+              pop_one();
+              if (HasFatalFailure()) return;
+            }
+            break;
+          }
+        }
+        ASSERT_EQ(q.size(), ref.size());
+        note_switch();
+      }
+      // Drain: pop to empty, with an occasional cancel mid-way.  The last
+      // event is always popped: only a pop that empties the queue sends
+      // it back to the heap.
+      while (!ref.empty()) {
+        if (rng() % 16 == 0 && !one_shots.empty() && ref.size() > 1) {
+          const auto it = one_shots.begin();
+          ref.erase(it->second);
+          ASSERT_TRUE(q.cancel(it->first));
+          one_shots.erase(it);
+          continue;
+        }
+        pop_one();
+        if (HasFatalFailure()) return;
+        note_switch();
+      }
+      ASSERT_TRUE(q.empty());
+    }
+    // The switch really happened in both directions, every cycle.
+    EXPECT_GT(pops, 1000);
+    EXPECT_GE(to_wheel, 6);
+    EXPECT_GE(to_heap, 5);
+    for (const TimerSlot t : timers) q.destroy_timer(t);
+  }
 }
 
 // The wheel's resolution adaptation needs BOTH signals: high occupancy
@@ -365,12 +573,13 @@ TEST_P(EventQueueBackendTest, CancelBurstThenRefillReusesSlots) {
 // the same occupancy spread across the horizon must not (finer ticks
 // would only multiply refill windows there).
 TEST(EventQueueWheelAdapt, SameInstantPileUpEscalatesResolution) {
-  EventQueue q(EventBackend::kWheel);
+  EventQueue q;
   const double base = q.ticks_per_sec();
   // 110k events packed 1 ns apart: far above the occupancy threshold and
   // all inside a handful of base-resolution ticks.
   constexpr int kN = 110000;
   for (int i = 0; i < kN; ++i) q.schedule(1.0 + 1e-9 * i, [] {});
+  ASSERT_TRUE(q.on_wheel());
   // Pure inserts bucket without building a run; no escalation yet.
   EXPECT_EQ(q.ticks_per_sec(), base);
   // The first pop sorts the giant window; the next insert sees the
@@ -387,12 +596,13 @@ TEST(EventQueueWheelAdapt, SameInstantPileUpEscalatesResolution) {
 }
 
 TEST(EventQueueWheelAdapt, SpreadOutLoadKeepsBaseResolution) {
-  EventQueue q(EventBackend::kWheel);
+  EventQueue q;
   const double base = q.ticks_per_sec();
   // Same occupancy, but ~13 base ticks between events: every sorted run
   // stays tiny, so the density gate must hold the base resolution.
   constexpr int kN = 120000;
   for (int i = 0; i < kN; ++i) q.schedule(1.0 + 1e-4 * i, [] {});
+  ASSERT_TRUE(q.on_wheel());
   Time prev = 0;
   for (int i = 0; i < 10000; ++i) {
     const Time t = q.pop().time;
@@ -407,22 +617,6 @@ TEST(EventQueueWheelAdapt, SpreadOutLoadKeepsBaseResolution) {
     EXPECT_LT(prev, t);
     prev = t;
   }
-}
-
-TEST(EventQueueAuto, MigratesToWheelAndBackAtDrain) {
-  EventQueue q(EventBackend::kAuto);
-  EXPECT_EQ(q.active_backend(), EventBackend::kHeap);
-  for (int i = 0; i < 200; ++i) q.schedule(0.001 * (i + 1), [] {});
-  EXPECT_EQ(q.active_backend(), EventBackend::kWheel);
-  std::vector<Time> times;
-  while (!q.empty()) times.push_back(q.pop().time);
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    EXPECT_LT(times[i - 1], times[i]);
-  }
-  // Drained: reverts to the heap, and small loads stay there.
-  EXPECT_EQ(q.active_backend(), EventBackend::kHeap);
-  q.schedule(1.0, [] {});
-  EXPECT_EQ(q.active_backend(), EventBackend::kHeap);
 }
 
 }  // namespace

@@ -1,43 +1,40 @@
-// Committed behaviour digests: tests/golden_digests.txt.
+// Committed behaviour digests for the net-level and scheduler workloads
+// (tests/golden_digests.txt; see tests/diff_harness.h).
 //
 // The differential suites prove that code paths agree with each other
 // within one build; a change that alters all of them the same way passes
-// them silently.  This suite pins behaviour ACROSS commits instead: every
-// workload below is reduced to a one-line digest (hashes of the full
-// packet trace, decision log and per-flow table, plus the conservation
-// ledger and counters) and compared against the committed line.
+// them silently.  These digests pin behaviour across commits instead.
+// The scenario digests are checked by test_scenario_golden (every golden
+// scenario at shards {0, 1, 2, 4}) and the classic congestion-control
+// digests by test_cc_diff; this suite covers the rest:
 //
-// Workloads:
-//   * every golden scenario, classic (shards=0) and sharded (shards=1);
-//   * the classic congestion-control workloads (dumbbell and parking lot
-//     per stack, and the cc=mix dumbbell);
-//   * three net-level workloads: the Figure-1 chain under WFQ, a FIFO
-//     fan-in under Poisson overload and a TCP dumbbell with CBR cross
-//     traffic;
-//   * seeded WFQ and unified scheduler fuzz workloads: departure/drop
-//     trace plus the bits of V(t) after every operation.
+//   * three net-level workloads, ten seeds each: the Figure-1 chain under
+//     WFQ with policed on/off sources, a FIFO fan-in under Poisson
+//     overload, and a TCP dumbbell with CBR cross traffic (RTO re-arms,
+//     retransmits).  Digest: trace hash, per-flow stats hash, event count.
+//   * seeded WFQ and unified scheduler fuzz workloads (mixed sizes,
+//     uneven weights, bursts, pushout overload, stale discards) at 3, 16
+//     and 100 flows — below, across and above the OrderIndex heap/calendar
+//     switch.  Digest: the departure/drop trace plus the bits of V(t)
+//     after every operation.
 //
-// On drift the failure message prints the committed line and its
-// replacement; a change to the digest file must be justified in
-// CHANGES.md.
+// Exact bits are deliberate: delays and weight sums accumulate in firing
+// and pop order, so even one transposition of an equal-time or equal-tag
+// pair surfaces as a differing bit pattern downstream.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "diff_harness.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "net/tracer.h"
-#include "scenario/runner.h"
 #include "sched/fifo.h"
 #include "sched/unified.h"
 #include "sched/wfq.h"
@@ -51,262 +48,22 @@
 namespace ispn {
 namespace {
 
-// --- hashing and the digest file ------------------------------------------
-
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-
-template <typename T>
-void mix(std::uint64_t& h, const T& v) {
-  const auto* p = reinterpret_cast<const unsigned char*>(&v);
-  for (std::size_t i = 0; i < sizeof v; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-}
-
-std::uint64_t hash_trace(const std::vector<net::PacketTracer::Record>& recs) {
-  std::uint64_t h = kFnvBasis;
-  for (const auto& r : recs) {
-    mix(h, r.time);
-    mix(h, static_cast<std::uint8_t>(r.event));
-    mix(h, r.flow);
-    mix(h, r.seq);
-    mix(h, r.node);
-    mix(h, r.queueing_delay);
-    mix(h, r.jitter_offset);
-  }
-  return h;
-}
-
-std::string hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::map<std::string, std::string> load_digests() {
-  const auto path =
-      std::filesystem::path(__FILE__).parent_path() / "golden_digests.txt";
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::map<std::string, std::string> out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const auto space = line.find(' ');
-    out[line.substr(0, space)] =
-        space == std::string::npos ? "" : line.substr(space + 1);
-  }
-  return out;
-}
-
-void expect_digest(const std::string& key, const std::string& got) {
-  static const std::map<std::string, std::string> digests = load_digests();
-  const auto it = digests.find(key);
-  if (it == digests.end()) {
-    ADD_FAILURE() << "no committed digest for " << key << "; add:\n"
-                  << key << ' ' << got;
-    return;
-  }
-  EXPECT_EQ(it->second, got) << "digest drift for " << key
-                             << "; replacement line:\n"
-                             << key << ' ' << got;
-}
-
-// --- scenario workloads ----------------------------------------------------
-
-std::string scenario_digest(scenario::ScenarioSpec spec, int shards) {
-  spec.shards = shards;
-  scenario::ScenarioRunner runner(std::move(spec));
-  net::PacketTracer tracer(1u << 22);
-  runner.set_tracer(&tracer);
-  runner.prepare();
-  tracer.attach(runner.net());
-  const scenario::ScenarioReport r = runner.run();
-  tracer.finalize();
-  EXPECT_FALSE(tracer.truncated());
-  EXPECT_TRUE(r.conserved());
-
-  std::uint64_t flows = kFnvBasis;
-  for (const scenario::FlowOutcome& f : r.flows) {
-    mix(flows, f.flow);
-    mix(flows, static_cast<std::uint8_t>(f.service));
-    mix(flows, f.admitted);
-    mix(flows, f.hops);
-    mix(flows, f.opened);
-    mix(flows, f.closed);
-    mix(flows, f.delivered);
-    mix(flows, f.max_delay);
-    mix(flows, f.bound);
-    mix(flows, f.reroutes);
-    mix(flows, f.degraded);
-    mix(flows, f.path_epochs);
-    mix(flows, f.max_delay_all);
-  }
-  std::ostringstream out;
-  out << "records=" << tracer.records().size()
-      << " trace=" << hex(hash_trace(tracer.records()))
-      << " decisions=" << hex(r.decision_hash()) << " flows=" << hex(flows)
-      << " events=" << r.events << " ledger=" << r.generated << ','
-      << r.source_drops << ',' << r.injected << ',' << r.delivered << ','
-      << r.net_drops << ',' << r.failed_link_drops << ','
-      << r.node_failure_drops << ',' << r.fault_drops << ',' << r.queued_end
-      << ',' << r.unclaimed << " admission=" << r.flows_offered << ','
-      << r.flows_admitted << ',' << r.flows_rejected << ','
-      << r.flows_preempted << " topology=" << r.links_failed << ','
-      << r.links_repaired << ',' << r.flows_rerouted << ','
-      << r.flows_degraded << ',' << r.flows_orphaned << " faults="
-      << r.nodes_crashed << ',' << r.nodes_recovered << ',' << r.brownouts
-      << ',' << r.loss_episodes << ',' << r.flows_restored << ','
-      << r.restore_attempts << ',' << r.invariant_violations
-      << " cc=" << r.cc_flows << ',' << r.cc_marks << ','
-      << r.cc_mark_samples << ',' << r.cc_echoes << ',' << r.cc_backoffs
-      << " tcp=" << r.tcp_segments << ',' << r.tcp_delivered << ','
-      << r.tcp_retransmits << ',' << r.tcp_timeouts << ','
-      << r.tcp_reorder_timeouts;
-  return out.str();
-}
-
-struct NamedSpec {
-  const char* name;
-  scenario::ScenarioSpec spec;
-};
-
-std::vector<NamedSpec> golden_scenarios() {
-  std::vector<NamedSpec> out;
-  {
-    scenario::ScenarioSpec spec = scenario::preset("fan_in");
-    scenario::apply_scale(spec, "small");
-    spec.tree_width = 4;
-    spec.arrival_rate = 6.0;
-    spec.mean_hold = 2.0;
-    spec.seed = 11;
-    out.push_back({"fan_in_tree", spec});
-  }
-  {
-    scenario::ScenarioSpec spec = scenario::preset("parking_lot");
-    scenario::apply_scale(spec, "small");
-    spec.arrival_rate = 0;
-    spec.target_flows = 24;
-    spec.avg_rate_pps = 150.0;
-    spec.source = scenario::SourceKind::kPoisson;
-    spec.p_guaranteed = 0.15;
-    spec.p_predicted = 0.35;
-    spec.seed = 12;
-    out.push_back({"overloaded_parking_lot", spec});
-  }
-  {
-    scenario::ScenarioSpec spec = scenario::preset("churn");
-    scenario::apply_scale(spec, "small");
-    spec.seed = 13;
-    out.push_back({"admission_churn_chain", spec});
-  }
-  {
-    scenario::ScenarioSpec spec = scenario::preset("failure");
-    spec.run_seconds = 20.0;
-    spec.seed = 14;
-    out.push_back({"mesh_with_failures", spec});
-  }
-  {
-    scenario::ScenarioSpec spec = scenario::preset("chaos");
-    spec.seed = 17;
-    out.push_back({"chaos_fault_plane", spec});
-  }
-  {
-    scenario::ScenarioSpec spec = scenario::preset("parking_lot");
-    scenario::apply_scale(spec, "small");
-    spec.arrival_rate = 0;
-    spec.target_flows = 18;
-    spec.avg_rate_pps = 150.0;
-    spec.source = scenario::SourceKind::kPoisson;
-    spec.p_guaranteed = 0.2;
-    spec.p_predicted = 0.3;
-    spec.cc = scenario::CcKind::kMix;
-    spec.binary_feedback = true;
-    spec.seed = 18;
-    out.push_back({"cc_mix_binary_feedback", spec});
-  }
-  {
-    scenario::ScenarioSpec spec = scenario::preset("fan_in");
-    scenario::apply_scale(spec, "small");
-    spec.tree_depth = 3;
-    spec.arrival_rate = 6.0;
-    spec.mean_hold = 2.0;
-    spec.seed = 16;
-    out.push_back({"deep_fan_in_tree", spec});
-  }
-  {
-    scenario::ScenarioSpec spec = scenario::preset("failure");
-    spec.run_seconds = 16.0;
-    spec.link_failure_rate = 0;
-    spec.reroute_policy = scenario::ReroutePolicy::kPreempt;
-    spec.seed = 15;
-    spec.link_failures.push_back({2, 8, 3.0, 9.0});
-    spec.link_failures.push_back({6, 8, 5.0, -1.0});
-    spec.validate();
-    out.push_back({"explicit_failures_preempt", spec});
-  }
-  return out;
-}
-
-TEST(GoldenDigests, Scenarios) {
-  for (const NamedSpec& s : golden_scenarios()) {
-    const std::string key = std::string("scenario.") + s.name;
-    expect_digest(key + ".classic", scenario_digest(s.spec, 0));
-    expect_digest(key + ".sharded", scenario_digest(s.spec, 1));
-  }
-}
-
-scenario::ScenarioSpec cc_dumbbell(scenario::CcKind cc, std::uint64_t seed) {
-  scenario::ScenarioSpec spec = scenario::preset("chain");
-  spec.chain_switches = 2;
-  scenario::apply_scale(spec, "small");
-  spec.arrival_rate = 0;
-  spec.target_flows = 12;
-  spec.p_guaranteed = 0.2;
-  spec.p_predicted = 0.3;
-  spec.cc = cc;
-  spec.binary_feedback = true;
-  spec.seed = seed;
-  return spec;
-}
-
-scenario::ScenarioSpec cc_parking(scenario::CcKind cc, std::uint64_t seed) {
-  scenario::ScenarioSpec spec = scenario::preset("parking_lot");
-  scenario::apply_scale(spec, "small");
-  spec.arrival_rate = 0;
-  spec.target_flows = 16;
-  spec.p_guaranteed = 0.15;
-  spec.p_predicted = 0.25;
-  spec.avg_rate_pps = 150.0;
-  spec.cc = cc;
-  spec.binary_feedback = true;
-  spec.seed = seed;
-  return spec;
-}
-
-TEST(GoldenDigests, CongestionControlClassic) {
-  for (const auto cc : {scenario::CcKind::kReno, scenario::CcKind::kBbr,
-                        scenario::CcKind::kRack}) {
-    const std::string stack = scenario::to_string(cc);
-    for (const std::uint64_t seed : {101ull, 102ull}) {
-      expect_digest("cc.dumbbell." + stack + ".seed" + std::to_string(seed),
-                    scenario_digest(cc_dumbbell(cc, seed), 0));
-    }
-    for (const std::uint64_t seed : {201ull, 202ull}) {
-      expect_digest("cc.parking_lot." + stack + ".seed" + std::to_string(seed),
-                    scenario_digest(cc_parking(cc, seed), 0));
-    }
-  }
-  for (const std::uint64_t seed : {301ull, 302ull}) {
-    expect_digest("cc.dumbbell.mix.seed" + std::to_string(seed),
-                  scenario_digest(cc_dumbbell(scenario::CcKind::kMix, seed), 0));
-  }
-}
+using diff::expect_digest;
+using diff::hex;
+using diff::kFnvBasis;
+using diff::mix;
 
 // --- net-level workloads ---------------------------------------------------
 
-std::string net_digest(net::Network& net, const net::PacketTracer& tracer) {
+/// A net-level run: its digest line plus the activity the suite requires
+/// to be non-vacuous.
+struct NetRun {
+  std::string line;
+  std::uint64_t drops = 0;
+  std::uint64_t retransmits = 0;
+};
+
+NetRun net_digest(net::Network& net, const net::PacketTracer& tracer) {
   std::uint64_t stats = kFnvBasis;
   for (const auto& [flow, st] : net.all_stats()) {
     mix(stats, flow);
@@ -323,17 +80,20 @@ std::string net_digest(net::Network& net, const net::PacketTracer& tracer) {
     mix(stats, st.e2e_delay.empty() ? 0.0 : st.e2e_delay.mean());
     mix(stats, st.e2e_delay.empty() ? 0.0 : st.e2e_delay.max());
   }
+  NetRun run;
+  run.drops = tracer.count(net::PacketTracer::Event::kDrop);
   std::ostringstream out;
   out << "records=" << tracer.records().size()
-      << " trace=" << hex(hash_trace(tracer.records()))
+      << " trace=" << hex(diff::hash_trace(tracer.records()))
       << " stats=" << hex(stats) << " events=" << net.sim().processed()
-      << " drops=" << tracer.count(net::PacketTracer::Event::kDrop);
-  return out.str();
+      << " drops=" << run.drops;
+  run.line = out.str();
+  return run;
 }
 
 /// The Figure-1 chain under WFQ: 10 policed on/off flows with mixed path
 /// lengths plus 2 CBR probes, 6 simulated seconds.
-std::string run_chain_wfq(std::uint64_t seed) {
+NetRun run_chain_wfq(std::uint64_t seed) {
   net::Network net;
   const auto topo = net::build_chain(net, 5, 1e6, [] {
     return std::make_unique<sched::WfqScheduler>(
@@ -377,7 +137,7 @@ std::string run_chain_wfq(std::uint64_t seed) {
 
 /// Fan-in overload under FIFO: four Poisson feeds converge on one
 /// bottleneck, 6 simulated seconds.
-std::string run_fan_in_fifo(std::uint64_t seed) {
+NetRun run_fan_in_fifo(std::uint64_t seed) {
   net::Network net;
   const auto topo = net::build_fan_in(net, 4, 2e6, 1e6, [] {
     return std::make_unique<sched::FifoScheduler>(30);
@@ -406,7 +166,7 @@ std::string run_fan_in_fifo(std::uint64_t seed) {
 
 /// TCP with CBR cross traffic on a tight dumbbell: RTO re-arms, fast
 /// retransmit and the ACK reverse path, 8 simulated seconds.
-std::string run_tcp_dumbbell(std::uint64_t seed) {
+NetRun run_tcp_dumbbell(std::uint64_t seed) {
   net::Network net;
   const auto topo = net::build_dumbbell(net, 1e6, [] {
     return std::make_unique<sched::FifoScheduler>(12);
@@ -438,17 +198,28 @@ std::string run_tcp_dumbbell(std::uint64_t seed) {
   tcp.start(0);
   cross.start(0.001);
   net.sim().run_until(8.0);
-  return net_digest(net, tracer) +
-         " retransmits=" + std::to_string(tcp.retransmits());
+  NetRun run = net_digest(net, tracer);
+  run.retransmits = tcp.retransmits();
+  run.line += " retransmits=" + std::to_string(run.retransmits);
+  return run;
 }
 
 TEST(GoldenDigests, NetWorkloads) {
+  std::uint64_t fifo_drops = 0;
+  std::uint64_t retransmits = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const std::string s = ".seed" + std::to_string(seed);
-    expect_digest("net.chain_wfq" + s, run_chain_wfq(seed));
-    expect_digest("net.fan_in_fifo" + s, run_fan_in_fifo(seed));
-    expect_digest("net.tcp_dumbbell" + s, run_tcp_dumbbell(seed));
+    expect_digest("net.chain_wfq" + s, run_chain_wfq(seed).line);
+    const NetRun fan = run_fan_in_fifo(seed);
+    expect_digest("net.fan_in_fifo" + s, fan.line);
+    const NetRun tcp = run_tcp_dumbbell(seed);
+    expect_digest("net.tcp_dumbbell" + s, tcp.line);
+    fifo_drops += fan.drops;
+    retransmits += tcp.retransmits;
   }
+  // The digests pin drops and retransmissions only if they happen.
+  EXPECT_GT(fifo_drops, 0u) << "fan-in never overloaded its bottleneck";
+  EXPECT_GT(retransmits, 0u) << "TCP never hit the tiny buffer";
 }
 
 // --- scheduler fuzz workloads ----------------------------------------------
@@ -508,14 +279,42 @@ Workload make_workload(std::uint64_t seed, int flows) {
   return w;
 }
 
-/// Replays `w` through `sched`, recording every emitted packet and V(t)
-/// after each op, then drains the scheduler.
+/// Hashes a scheduler run as it happens: every emitted packet (departure
+/// or drop, in emission order) and the bits of V(t) after every op.
+struct SchedRun {
+  std::uint64_t packets = kFnvBasis;
+  std::uint64_t vtimes = kFnvBasis;
+  std::size_t emitted = 0;
+  std::size_t drops = 0;
+  std::size_t stale = 0;
+  double last_vtime = 0;
+
+  void emit(const net::Packet& p, bool drop) {
+    mix(packets, static_cast<std::uint8_t>(drop));
+    mix(packets, p.flow);
+    mix(packets, p.seq);
+    mix(packets, p.size_bits);
+    ++emitted;
+    if (drop) ++drops;
+  }
+  void sample(double v) {
+    mix(vtimes, v);
+    last_vtime = v;
+  }
+  [[nodiscard]] std::string line() const {
+    std::ostringstream out;
+    out << "events=" << emitted << " drops=" << drops
+        << " trace=" << hex(packets) << " vtime=" << hex(vtimes);
+    return out.str();
+  }
+};
+
+/// Replays `w` through `sched`, then drains it.
 template <typename Sched>
-sched_test::BackendTrace replay(Sched& sched, const Workload& w,
-                                bool unified) {
-  sched_test::BackendTrace trace;
-  sched.set_drop_sink([&trace](net::PacketPtr victim, sim::Time) {
-    trace.events.push_back(sched_test::drop_event(*victim));
+SchedRun replay(Sched& sched, const Workload& w, bool unified) {
+  SchedRun run;
+  sched.set_drop_sink([&run](net::PacketPtr victim, sim::Time) {
+    run.emit(*victim, /*drop=*/true);
   });
   double now = 0;
   for (const Op& op : w.ops) {
@@ -540,54 +339,37 @@ sched_test::BackendTrace replay(Sched& sched, const Workload& w,
       }
       case Op::Kind::kDequeue: {
         auto p = sched.dequeue(now);
-        if (p != nullptr) trace.events.push_back(sched_test::depart_event(*p));
+        if (p != nullptr) run.emit(*p, /*drop=*/false);
         break;
       }
       case Op::Kind::kAdvance:
         now += op.dt;
         break;
     }
-    trace.vtimes.push_back(sched.virtual_time(now));
+    run.sample(sched.virtual_time(now));
   }
   now += 10.0;
   while (!sched.empty()) {
     auto p = sched.dequeue(now);
-    if (p != nullptr) trace.events.push_back(sched_test::depart_event(*p));
-    trace.vtimes.push_back(sched.virtual_time(now));
+    if (p != nullptr) run.emit(*p, /*drop=*/false);
+    run.sample(sched.virtual_time(now));
     now += 1e-3;
   }
   sched.set_drop_sink({});
-  return trace;
+  return run;
 }
 
-std::string sched_digest(const sched_test::BackendTrace& t) {
-  std::uint64_t events = kFnvBasis;
-  std::size_t drops = 0;
-  for (const sched_test::TraceEvent& e : t.events) {
-    mix(events, static_cast<std::uint8_t>(e.kind));
-    mix(events, e.flow);
-    mix(events, e.seq);
-    mix(events, e.size_bits);
-    if (e.kind == sched_test::TraceEvent::Kind::kDrop) ++drops;
-  }
-  std::uint64_t vtimes = kFnvBasis;
-  for (const double v : t.vtimes) mix(vtimes, v);
-  std::ostringstream out;
-  out << "events=" << t.events.size() << " drops=" << drops
-      << " trace=" << hex(events) << " vtime=" << hex(vtimes);
-  return out.str();
-}
-
-std::string run_wfq(std::uint64_t seed, int flows) {
+SchedRun run_wfq(std::uint64_t seed, int flows) {
   const Workload w = make_workload(seed, flows);
+  // Small buffer so bursts push packets out.
   sched::WfqScheduler sched(sched::WfqScheduler::Config{1e6, 24, 1.0});
   for (int f = 0; f < flows; ++f) {
     sched.add_flow(f, w.weights[static_cast<std::size_t>(f)]);
   }
-  return sched_digest(replay(sched, w, /*unified=*/false));
+  return replay(sched, w, /*unified=*/false);
 }
 
-std::string run_unified(std::uint64_t seed, int flows) {
+SchedRun run_unified(std::uint64_t seed, int flows) {
   const Workload w = make_workload(seed, flows);
   sched::UnifiedScheduler::Config cfg;
   cfg.link_rate = 1e6;
@@ -596,24 +378,38 @@ std::string run_unified(std::uint64_t seed, int flows) {
   cfg.fifo_plus = true;
   cfg.stale_offset_threshold = 0.05;  // exercise dequeue-time discards
   sched::UnifiedScheduler sched(cfg);
+  // A third of the flows get guaranteed service (their cls==3 packets use
+  // the WFQ outer layer); the rest map to predicted classes.
   for (int f = 0; f < flows; f += 3) {
     sched.add_guaranteed(f, w.weights[static_cast<std::size_t>(f)] + 100.0);
   }
   for (int f = 1; f < flows; f += 3) sched.set_predicted_priority(f, f % 2);
-  // Sequenced: the discard count is read after the replay.
-  const std::string line = sched_digest(replay(sched, w, /*unified=*/true));
-  return line + " stale=" + std::to_string(sched.stale_discards());
+  SchedRun run = replay(sched, w, /*unified=*/true);
+  run.stale = sched.stale_discards();
+  return run;
 }
 
 TEST(GoldenDigests, SchedulerFuzz) {
+  std::size_t wfq_drops = 0;
+  std::size_t stale = 0;
   for (const int flows : {3, 16, 100}) {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
       const std::string s =
           ".flows" + std::to_string(flows) + ".seed" + std::to_string(seed);
-      expect_digest("sched.wfq" + s, run_wfq(seed, flows));
-      expect_digest("sched.unified" + s, run_unified(seed, flows));
+      const SchedRun wfq = run_wfq(seed, flows);
+      expect_digest("sched.wfq" + s, wfq.line());
+      const SchedRun unified = run_unified(seed, flows);
+      expect_digest("sched.unified" + s,
+                    unified.line() + " stale=" + std::to_string(unified.stale));
+      EXPECT_GT(wfq.emitted, 0u);
+      EXPECT_GT(wfq.last_vtime, 0.0);
+      wfq_drops += wfq.drops;
+      stale += unified.stale;
     }
   }
+  // The digests pin pushout and stale discards only if they happen.
+  EXPECT_GT(wfq_drops, 0u) << "pushout path never ran";
+  EXPECT_GT(stale, 0u) << "stale-discard path never ran";
 }
 
 }  // namespace

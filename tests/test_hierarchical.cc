@@ -15,10 +15,9 @@
 //      hierarchical.
 //   3. The flow-locality cache counters (ScenarioReport route/sink cache
 //      hits/misses) are a pure function of the packet sequence, hence
-//      byte-identical across every event-ordering x virtual-time-ordering
-//      backend combination, in BOTH modes.  (Flat-path byte-identity
-//      itself is pinned by test_scenario_golden; this file extends the
-//      cross-backend invariant to the new counters and the new mode.)
+//      byte-identical across sharded worker counts, in BOTH modes.
+//      (Flat-path byte-identity itself is pinned by test_scenario_golden;
+//      this file extends the invariant to the counters and the new mode.)
 
 #include <gtest/gtest.h>
 
@@ -45,20 +44,11 @@ scenario::ScenarioSpec mixed_spec() {
 }
 
 scenario::ScenarioReport run_spec(scenario::ScenarioSpec spec,
-                                  bool hierarchical,
-                                  sim::EventBackend event_backend,
-                                  sched::OrderBackend order_backend) {
+                                  bool hierarchical, int shards = 0) {
   spec.hierarchical = hierarchical;
-  spec.event_backend = event_backend;
-  spec.order_backend = order_backend;
+  spec.shards = shards;
   scenario::ScenarioRunner runner(std::move(spec));
   return runner.run();
-}
-
-scenario::ScenarioReport run_spec(scenario::ScenarioSpec spec,
-                                  bool hierarchical) {
-  return run_spec(std::move(spec), hierarchical, sim::EventBackend::kHeap,
-                  sched::OrderBackend::kHeap);
 }
 
 TEST(Hierarchical, ConservesAndDeliversEveryClass) {
@@ -118,36 +108,20 @@ TEST(Hierarchical, KnobChangesSchedulingOnly) {
 }
 
 // Cache hit/miss counters are deterministic: same spec -> same counters,
-// regardless of the engine's event backend or the schedulers' virtual-time
-// ordering backend.  This is what lets the counters live in ScenarioReport
-// without weakening the golden determinism contract.
-TEST(Hierarchical, CacheCountersByteIdenticalAcrossBackends) {
-  struct Combo {
-    sim::EventBackend event;
-    sched::OrderBackend order;
-    const char* name;
-  };
-  const Combo combos[] = {
-      {sim::EventBackend::kHeap, sched::OrderBackend::kCalendar,
-       "heap x calendar"},
-      {sim::EventBackend::kWheel, sched::OrderBackend::kHeap,
-       "wheel x heap"},
-      {sim::EventBackend::kWheel, sched::OrderBackend::kCalendar,
-       "wheel x calendar"},
-  };
+// whatever the number of sharded workers.  This is what lets the counters
+// live in ScenarioReport without weakening the golden determinism
+// contract.
+TEST(Hierarchical, CacheCountersByteIdenticalAcrossShardCounts) {
   for (const bool hierarchical : {false, true}) {
-    const auto ref = run_spec(mixed_spec(), hierarchical,
-                              sim::EventBackend::kHeap,
-                              sched::OrderBackend::kHeap);
+    const auto ref = run_spec(mixed_spec(), hierarchical, 1);
     ASSERT_TRUE(ref.conserved());
     EXPECT_GT(ref.route_cache_hits + ref.route_cache_misses, 0u);
     EXPECT_GT(ref.sink_label_hits, 0u);
-    for (const Combo& combo : combos) {
-      const auto got =
-          run_spec(mixed_spec(), hierarchical, combo.event, combo.order);
+    for (const int shards : {2, 4}) {
+      const auto got = run_spec(mixed_spec(), hierarchical, shards);
       const std::string what = std::string("hierarchical=") +
-                               (hierarchical ? "1" : "0") + " under " +
-                               combo.name;
+                               (hierarchical ? "1" : "0") +
+                               " at shards=" + std::to_string(shards);
       EXPECT_EQ(ref.route_cache_hits, got.route_cache_hits) << what;
       EXPECT_EQ(ref.route_cache_misses, got.route_cache_misses) << what;
       EXPECT_EQ(ref.sink_cache_hits, got.sink_cache_hits) << what;

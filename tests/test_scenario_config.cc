@@ -41,6 +41,17 @@ TEST(ScenarioConfig, UnknownKeysAreDiagnosed) {
   EXPECT_NE(must_throw("", "1").find("unknown key"), std::string::npos);
 }
 
+TEST(ScenarioConfig, OrderingBackendKeysAreGone) {
+  // Event and virtual-time ordering switch on population size alone; the
+  // keys that used to force a structure are rejected like any other typo.
+  for (const char* key : {"event_backend", "order_backend"}) {
+    for (const char* value : {"heap", "wheel", "calendar", "auto"}) {
+      EXPECT_NE(must_throw(key, value).find("unknown key"), std::string::npos)
+          << key << "=" << value;
+    }
+  }
+}
+
 TEST(ScenarioConfig, MalformedNumbersAreDiagnosed) {
   for (const char* bad : {"", "abc", "1.2.3", "12abc", "0x", "--1", "1e"}) {
     EXPECT_NE(must_throw("arrival_rate", bad).find("arrival_rate"),
@@ -93,8 +104,6 @@ TEST(ScenarioConfig, EnumKeysRejectUnknownValues) {
   must_throw("reroute_policy", "panic");
   must_throw("admission_mode", "oracle");
   must_throw("measurement_estimator", "kalman");
-  must_throw("event_backend", "splay");
-  must_throw("order_backend", "fifo");
   must_throw("preset", "doom");
   must_throw("scale", "galactic");
   must_throw("preempt_on_reject", "maybe");
@@ -220,7 +229,7 @@ const char* const kAllKeys[] = {
     "drain_grace",    "seed",           "admission_mode",
     "datagram_quota", "measurement_window", "measurement_safety",
     "measurement_estimator", "measurement_ewma_gain", "shards",
-    "link_latency",   "event_backend",  "hierarchical",
+    "link_latency",   "hierarchical",
     "no_such_knob",   "",               "FABRIC",
 };
 

@@ -1,224 +1,69 @@
 // Golden-trace regression suite for the scenario layer.
 //
-// Extends the PR 3/4 differential harnesses up the stack: a WHOLE
-// scenario — fabric generation, live measurement-based admission, flow
-// churn, per-hop entry/exit traffic — must be byte-identical across
-// every event-ordering backend (heap / timing wheel) crossed with every
-// virtual-time ordering backend (heap / calendar queue).  Three small
-// seeded scenarios run under all combinations; the full PacketTracer
-// record stream (every transmit, drop, delivery with bit-exact
-// timestamps and delay fields) and the complete admission decision log
-// are hashed and compared against the (kHeap, kHeap) reference, along
-// with every conservation counter and the simulator's event count.
+// A WHOLE scenario — fabric generation, live measurement-based admission,
+// flow churn, per-hop entry/exit traffic, failures, faults and responsive
+// traffic — is pinned two ways through tests/diff_harness.h:
 //
-// Hashes rather than full record diffs keep failure output small; when a
-// divergence appears, test_event_backend_diff / test_order_backend_diff
-// localise it to a layer.
+//   * across commits: the classic run (shards=0) and the sharded run are
+//     each reduced to a digest line (trace, decision log and flow-table
+//     hashes, ledger, counters) and checked against
+//     tests/golden_digests.txt;
+//   * across worker counts: the sharded runs at shards {1, 2, 4} must
+//     agree record for record (shards=0 is a distinct model by design: no
+//     propagation delay).
+//
+// A new scenario gets both axes by calling golden() with a new digest key.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 
-#include "net/tracer.h"
-#include "scenario/runner.h"
+#include "diff_harness.h"
 
 namespace ispn {
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
+/// Runs `spec` at shards {0, 1, 2, 4}, checks the classic and sharded
+/// digests, and returns the classic run for the caller's own checks.
+diff::Run golden(const scenario::ScenarioSpec& spec, const std::string& name) {
+  const std::string key = "scenario." + name;
+  diff::Run classic = diff::run_scenario(spec, 0);
+  EXPECT_GT(classic.trace.size(), 500u)
+      << name << ": workload too small to prove anything";
+  diff::expect_digest(key + ".classic", diff::digest(classic));
+  const diff::Run sharded = diff::run_scenario(spec, 1);
+  diff::expect_digest(key + ".sharded", diff::digest(sharded));
+  for (const int shards : {2, 4}) {
+    diff::expect_identical(sharded, diff::run_scenario(spec, shards),
+                           name + " at shards=" + std::to_string(shards));
   }
-  return h;
-}
-
-std::uint64_t hash_trace(const std::vector<net::PacketTracer::Record>& recs) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const auto& r : recs) {
-    h = fnv1a(h, &r.time, sizeof r.time);
-    const auto event = static_cast<std::uint8_t>(r.event);
-    h = fnv1a(h, &event, sizeof event);
-    h = fnv1a(h, &r.flow, sizeof r.flow);
-    h = fnv1a(h, &r.seq, sizeof r.seq);
-    h = fnv1a(h, &r.node, sizeof r.node);
-    h = fnv1a(h, &r.queueing_delay, sizeof r.queueing_delay);
-    h = fnv1a(h, &r.jitter_offset, sizeof r.jitter_offset);
-  }
-  return h;
-}
-
-struct GoldenRun {
-  std::uint64_t trace_hash = 0;
-  std::uint64_t decision_hash = 0;
-  std::size_t records = 0;
-  std::size_t drops = 0;
-  std::uint64_t events = 0;
-  std::uint64_t generated = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t net_drops = 0;
-  std::uint64_t flows_admitted = 0;
-  std::uint64_t flows_rejected = 0;
-  std::uint64_t flows_preempted = 0;
-  std::uint64_t links_failed = 0;
-  std::uint64_t flows_rerouted = 0;
-  std::uint64_t flows_degraded = 0;
-  std::uint64_t flows_orphaned = 0;
-  std::uint64_t failed_link_drops = 0;
-  // Fault-plane counters (PR 9): crash/brown-out/loss activity and the two
-  // ledger buckets they drain into are part of the golden contract too.
-  std::uint64_t node_failure_drops = 0;
-  std::uint64_t fault_drops = 0;
-  std::uint64_t nodes_crashed = 0;
-  std::uint64_t nodes_recovered = 0;
-  std::uint64_t brownouts = 0;
-  std::uint64_t loss_episodes = 0;
-  std::uint64_t flows_restored = 0;
-  std::uint64_t restore_attempts = 0;
-  std::uint64_t invariant_violations = 0;
-  // Responsive-traffic counters (PR 10): the congestion-control stacks and
-  // the DEC-TR-506 mark/echo/backoff loop are golden surface too.
-  std::uint64_t cc_flows = 0;
-  std::uint64_t cc_marks = 0;
-  std::uint64_t cc_mark_samples = 0;
-  std::uint64_t cc_echoes = 0;
-  std::uint64_t cc_backoffs = 0;
-  std::uint64_t tcp_segments = 0;
-  std::uint64_t tcp_retransmits = 0;
-  std::uint64_t tcp_timeouts = 0;
-  std::uint64_t tcp_reorder_timeouts = 0;
-};
-
-GoldenRun run_one(scenario::ScenarioSpec spec, sim::EventBackend event_backend,
-                  sched::OrderBackend order_backend) {
-  spec.event_backend = event_backend;
-  spec.order_backend = order_backend;
-  scenario::ScenarioRunner runner(std::move(spec));
-  net::PacketTracer tracer(1u << 22);
-  runner.set_tracer(&tracer);
-  runner.prepare();
-  tracer.attach(runner.net());  // ports exist once the fabric is built
-  const scenario::ScenarioReport report = runner.run();
-  tracer.finalize();  // merge per-domain buffers (no-op on the classic path)
-
-  EXPECT_FALSE(tracer.truncated());
-  EXPECT_TRUE(report.conserved());
-  GoldenRun out;
-  out.trace_hash = hash_trace(tracer.records());
-  out.decision_hash = report.decision_hash();
-  out.records = tracer.records().size();
-  out.drops = tracer.count(net::PacketTracer::Event::kDrop);
-  out.events = report.events;
-  out.generated = report.generated;
-  out.delivered = report.delivered;
-  out.net_drops = report.net_drops;
-  out.flows_admitted = report.flows_admitted;
-  out.flows_rejected = report.flows_rejected;
-  out.flows_preempted = report.flows_preempted;
-  out.links_failed = report.links_failed;
-  out.flows_rerouted = report.flows_rerouted;
-  out.flows_degraded = report.flows_degraded;
-  out.flows_orphaned = report.flows_orphaned;
-  out.failed_link_drops = report.failed_link_drops;
-  out.node_failure_drops = report.node_failure_drops;
-  out.fault_drops = report.fault_drops;
-  out.nodes_crashed = report.nodes_crashed;
-  out.nodes_recovered = report.nodes_recovered;
-  out.brownouts = report.brownouts;
-  out.loss_episodes = report.loss_episodes;
-  out.flows_restored = report.flows_restored;
-  out.restore_attempts = report.restore_attempts;
-  out.invariant_violations = report.invariant_violations;
-  out.cc_flows = report.cc_flows;
-  out.cc_marks = report.cc_marks;
-  out.cc_mark_samples = report.cc_mark_samples;
-  out.cc_echoes = report.cc_echoes;
-  out.cc_backoffs = report.cc_backoffs;
-  out.tcp_segments = report.tcp_segments;
-  out.tcp_retransmits = report.tcp_retransmits;
-  out.tcp_timeouts = report.tcp_timeouts;
-  out.tcp_reorder_timeouts = report.tcp_reorder_timeouts;
-  return out;
-}
-
-void expect_equal(const GoldenRun& ref, const GoldenRun& got,
-                  const std::string& what) {
-  EXPECT_EQ(ref.records, got.records) << what;
-  EXPECT_EQ(ref.trace_hash, got.trace_hash) << what;
-  EXPECT_EQ(ref.decision_hash, got.decision_hash) << what;
-  EXPECT_EQ(ref.events, got.events) << what;
-  EXPECT_EQ(ref.generated, got.generated) << what;
-  EXPECT_EQ(ref.delivered, got.delivered) << what;
-  EXPECT_EQ(ref.net_drops, got.net_drops) << what;
-  EXPECT_EQ(ref.flows_admitted, got.flows_admitted) << what;
-  EXPECT_EQ(ref.flows_rejected, got.flows_rejected) << what;
-  EXPECT_EQ(ref.flows_preempted, got.flows_preempted) << what;
-  EXPECT_EQ(ref.links_failed, got.links_failed) << what;
-  EXPECT_EQ(ref.flows_rerouted, got.flows_rerouted) << what;
-  EXPECT_EQ(ref.flows_degraded, got.flows_degraded) << what;
-  EXPECT_EQ(ref.flows_orphaned, got.flows_orphaned) << what;
-  EXPECT_EQ(ref.failed_link_drops, got.failed_link_drops) << what;
-  EXPECT_EQ(ref.node_failure_drops, got.node_failure_drops) << what;
-  EXPECT_EQ(ref.fault_drops, got.fault_drops) << what;
-  EXPECT_EQ(ref.nodes_crashed, got.nodes_crashed) << what;
-  EXPECT_EQ(ref.nodes_recovered, got.nodes_recovered) << what;
-  EXPECT_EQ(ref.brownouts, got.brownouts) << what;
-  EXPECT_EQ(ref.loss_episodes, got.loss_episodes) << what;
-  EXPECT_EQ(ref.flows_restored, got.flows_restored) << what;
-  EXPECT_EQ(ref.restore_attempts, got.restore_attempts) << what;
-  EXPECT_EQ(ref.invariant_violations, got.invariant_violations) << what;
-  EXPECT_EQ(ref.cc_flows, got.cc_flows) << what;
-  EXPECT_EQ(ref.cc_marks, got.cc_marks) << what;
-  EXPECT_EQ(ref.cc_mark_samples, got.cc_mark_samples) << what;
-  EXPECT_EQ(ref.cc_echoes, got.cc_echoes) << what;
-  EXPECT_EQ(ref.cc_backoffs, got.cc_backoffs) << what;
-  EXPECT_EQ(ref.tcp_segments, got.tcp_segments) << what;
-  EXPECT_EQ(ref.tcp_retransmits, got.tcp_retransmits) << what;
-  EXPECT_EQ(ref.tcp_timeouts, got.tcp_timeouts) << what;
-  EXPECT_EQ(ref.tcp_reorder_timeouts, got.tcp_reorder_timeouts) << what;
-}
-
-void golden(const scenario::ScenarioSpec& spec, const char* label) {
-  const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
-  EXPECT_GT(ref.records, 500u) << label << ": workload too small to prove "
-                                  "anything";
-  struct Combo {
-    sim::EventBackend event;
-    sched::OrderBackend order;
-    const char* name;
-  };
-  const Combo combos[] = {
-      {sim::EventBackend::kHeap, sched::OrderBackend::kCalendar,
-       "heap x calendar"},
-      {sim::EventBackend::kWheel, sched::OrderBackend::kHeap,
-       "wheel x heap"},
-      {sim::EventBackend::kWheel, sched::OrderBackend::kCalendar,
-       "wheel x calendar"},
-      {sim::EventBackend::kAuto, sched::OrderBackend::kAuto, "auto x auto"},
-  };
-  for (const Combo& combo : combos) {
-    const GoldenRun got = run_one(spec, combo.event, combo.order);
-    expect_equal(ref, got,
-                 std::string(label) + " under " + combo.name);
-  }
+  return classic;
 }
 
 // --- the golden scenarios -------------------------------------------------
 
-TEST(ScenarioGolden, FanInTreeByteIdenticalAcrossBackends) {
+TEST(ScenarioGolden, FanInTree) {
   scenario::ScenarioSpec spec = scenario::preset("fan_in");
   scenario::apply_scale(spec, "small");
   spec.tree_width = 4;
   spec.arrival_rate = 6.0;
   spec.mean_hold = 2.0;
   spec.seed = 11;
-  golden(spec, "fan-in tree");
+  golden(spec, "fan_in_tree");
 }
 
-TEST(ScenarioGolden, OverloadedParkingLotByteIdenticalAcrossBackends) {
+TEST(ScenarioGolden, DeepFanInTree) {
+  // 1 + 4 + 16 switches: many more sharded domains than workers.
+  scenario::ScenarioSpec spec = scenario::preset("fan_in");
+  scenario::apply_scale(spec, "small");
+  spec.tree_depth = 3;
+  spec.arrival_rate = 6.0;
+  spec.mean_hold = 2.0;
+  spec.seed = 16;
+  golden(spec, "deep_fan_in_tree");
+}
+
+TEST(ScenarioGolden, OverloadedParkingLot) {
   scenario::ScenarioSpec spec = scenario::preset("parking_lot");
   scenario::apply_scale(spec, "small");
   // Deliberate overload so the golden trace covers drops and pushout.
@@ -229,69 +74,74 @@ TEST(ScenarioGolden, OverloadedParkingLotByteIdenticalAcrossBackends) {
   spec.p_guaranteed = 0.15;
   spec.p_predicted = 0.35;
   spec.seed = 12;
-
-  // The reference run must actually drop (the trace would be vacuous
-  // otherwise).
-  const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
-  EXPECT_GT(ref.drops, 0u) << "parking lot never overloaded";
-  golden(spec, "overloaded parking lot");
+  const auto r = golden(spec, "overloaded_parking_lot").report;
+  EXPECT_GT(r.net_drops, 0u) << "parking lot never overloaded";
 }
 
-TEST(ScenarioGolden, AdmissionChurnChainByteIdenticalAcrossBackends) {
+TEST(ScenarioGolden, AdmissionChurnChain) {
   scenario::ScenarioSpec spec = scenario::preset("churn");
   scenario::apply_scale(spec, "small");
   spec.seed = 13;
-
-  const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
-  EXPECT_GT(ref.flows_rejected, 0u) << "churn never exercised rejection";
-  golden(spec, "admission churn chain");
+  const auto r = golden(spec, "admission_churn_chain").report;
+  EXPECT_GT(r.flows_rejected, 0u) << "churn never exercised rejection";
 }
 
-TEST(ScenarioGolden, MeshWithFailuresByteIdenticalAcrossBackends) {
+TEST(ScenarioGolden, MeshWithFailures) {
   scenario::ScenarioSpec spec = scenario::preset("failure");
   spec.run_seconds = 20.0;
   spec.seed = 14;
-
-  const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
-  EXPECT_GT(ref.links_failed, 1u) << "schedule produced <2 failures";
-  EXPECT_GT(ref.flows_rerouted, 0u) << "no flow ever rerouted";
-  EXPECT_GT(ref.failed_link_drops, 0u)
+  const auto r = golden(spec, "mesh_with_failures").report;
+  EXPECT_GT(r.links_failed, 1u) << "schedule produced <2 failures";
+  EXPECT_GT(r.flows_rerouted, 0u) << "no flow ever rerouted";
+  EXPECT_GT(r.failed_link_drops, 0u)
       << "no packet was ever caught on a failing link";
-  golden(spec, "mesh with failures");
 }
 
-TEST(ScenarioGolden, ChaosFaultPlaneByteIdenticalAcrossBackends) {
+TEST(ScenarioGolden, ExplicitFailureSchedulePreemptPolicy) {
+  // Two explicit overlapping outages on the center switch's links, with
+  // preempt (no degrade): refused re-offers tear flows down.  The chosen
+  // links cannot partition the 3x3 mesh, so every admitted flow ends
+  // re-admitted, degraded or preempted — never orphaned.
+  scenario::ScenarioSpec spec = scenario::preset("failure");
+  spec.run_seconds = 16.0;
+  spec.link_failure_rate = 0;  // explicit schedule only
+  spec.reroute_policy = scenario::ReroutePolicy::kPreempt;
+  spec.seed = 15;
+  // Node ids: switches and hosts alternate in creation order; switch
+  // (r,c) of the 3x3 mesh is node 2*(3r+c).
+  spec.link_failures.push_back({2, 8, 3.0, 9.0});    // (0,1)<->(1,1)
+  spec.link_failures.push_back({6, 8, 5.0, -1.0});   // (1,0)<->(1,1)
+  spec.validate();
+  const auto r = golden(spec, "explicit_failures_preempt").report;
+  EXPECT_EQ(r.links_failed, 2u);
+  EXPECT_GT(r.flows_rerouted, 0u) << "no flow ever rerouted";
+  EXPECT_EQ(r.flows_orphaned, 0u)
+      << "non-partitioning failures orphaned a flow";
+}
+
+TEST(ScenarioGolden, ChaosFaultPlane) {
   // The full fault plane at once: switch crashes, capacity brown-outs,
   // transient loss episodes, link flapping, degrade-to-datagram shedding
   // and backoff-driven re-admission, with the invariant monitor auditing
   // throughout.  Every fault event is drawn at prepare() and quantized to
-  // the control grid, so the whole run — including both new drop buckets
-  // and every fault counter — must stay byte-identical across backends.
+  // the control grid.
   scenario::ScenarioSpec spec = scenario::preset("chaos");
   spec.seed = 17;
-
-  const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
-  EXPECT_GT(ref.nodes_crashed, 0u) << "no switch ever crashed";
-  EXPECT_GT(ref.brownouts, 0u) << "no brown-out ever started";
-  EXPECT_GT(ref.loss_episodes, 0u) << "no loss episode ever started";
-  EXPECT_GT(ref.node_failure_drops, 0u)
+  const auto r = golden(spec, "chaos_fault_plane").report;
+  EXPECT_GT(r.nodes_crashed, 0u) << "no switch ever crashed";
+  EXPECT_GT(r.brownouts, 0u) << "no brown-out ever started";
+  EXPECT_GT(r.loss_episodes, 0u) << "no loss episode ever started";
+  EXPECT_GT(r.node_failure_drops, 0u)
       << "no packet was ever caught in a crashing switch";
-  EXPECT_GT(ref.fault_drops, 0u) << "transient loss never destroyed a packet";
-  EXPECT_GT(ref.restore_attempts, 0u) << "re-admission backoff never fired";
-  EXPECT_EQ(ref.invariant_violations, 0u) << "the monitor flagged the run";
-  golden(spec, "chaos fault plane");
+  EXPECT_GT(r.fault_drops, 0u) << "transient loss never destroyed a packet";
+  EXPECT_GT(r.restore_attempts, 0u) << "re-admission backoff never fired";
+  EXPECT_EQ(r.invariant_violations, 0u) << "the monitor flagged the run";
 }
 
-TEST(ScenarioGolden, CcMixWithBinaryFeedbackByteIdenticalAcrossBackends) {
+TEST(ScenarioGolden, CcMixWithBinaryFeedback) {
   // All three service classes live at once, with the best-effort flows
   // driven by a round-robin mix of the reno/bbr/rack stacks and the
-  // DEC-TR-506 feedback loop marking at the bottleneneck's datagram
-  // class.  The responsive counters (marks, echoes, backoffs, segment
-  // and retransmit totals) join the golden contract.
+  // DEC-TR-506 feedback loop marking at the bottleneck's datagram class.
   scenario::ScenarioSpec spec = scenario::preset("parking_lot");
   scenario::apply_scale(spec, "small");
   spec.arrival_rate = 0;  // deterministic batch
@@ -303,57 +153,11 @@ TEST(ScenarioGolden, CcMixWithBinaryFeedbackByteIdenticalAcrossBackends) {
   spec.cc = scenario::CcKind::kMix;
   spec.binary_feedback = true;
   spec.seed = 18;
-
-  const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
-  EXPECT_GT(ref.cc_flows, 2u) << "mix never attached all three stacks";
-  EXPECT_GT(ref.cc_marks, 0u) << "the bottleneck never marked";
-  EXPECT_GT(ref.cc_echoes, 0u) << "no mark was ever echoed";
-  EXPECT_GT(ref.tcp_segments, 0u);
-  golden(spec, "cc mix with binary feedback");
-}
-
-TEST(ScenarioGolden, ShardedFanInByteIdenticalAcrossBackends) {
-  // The sharded execution model (per-switch domains, conservative
-  // lookahead windows) is its own deterministic reference: the golden
-  // invariant must hold across event/order backends there too.  Shard-
-  // count invariance itself is test_shard_diff's job; here shards=2
-  // pins the sharded path against backend variation.
-  scenario::ScenarioSpec spec = scenario::preset("fan_in");
-  scenario::apply_scale(spec, "small");
-  spec.tree_depth = 3;
-  spec.arrival_rate = 6.0;
-  spec.mean_hold = 2.0;
-  spec.shards = 2;
-  spec.seed = 16;
-  golden(spec, "sharded fan-in tree");
-}
-
-TEST(ScenarioGolden, ExplicitFailureSchedulePreemptPolicy) {
-  // Two explicit overlapping outages on the center switch's links, with
-  // preempt (no degrade): refused re-offers tear flows down, and the
-  // decision log must still agree byte-for-byte across backends.  The
-  // chosen links cannot partition the 3x3 mesh, so the acceptance
-  // invariant holds exactly: every admitted flow ends re-admitted,
-  // degraded or preempted — never orphaned.
-  scenario::ScenarioSpec spec = scenario::preset("failure");
-  spec.run_seconds = 16.0;
-  spec.link_failure_rate = 0;  // explicit schedule only
-  spec.reroute_policy = scenario::ReroutePolicy::kPreempt;
-  spec.seed = 15;
-  // Node ids: switches and hosts alternate in creation order; switch
-  // (r,c) of the 3x3 mesh is node 2*(3r+c).
-  spec.link_failures.push_back({2, 8, 3.0, 9.0});    // (0,1)<->(1,1)
-  spec.link_failures.push_back({6, 8, 5.0, -1.0});   // (1,0)<->(1,1)
-  spec.validate();
-
-  const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
-  EXPECT_EQ(ref.links_failed, 2u);
-  EXPECT_GT(ref.flows_rerouted, 0u) << "no flow ever rerouted";
-  EXPECT_EQ(ref.flows_orphaned, 0u)
-      << "non-partitioning failures orphaned a flow";
-  golden(spec, "explicit failures, preempt policy");
+  const auto r = golden(spec, "cc_mix_binary_feedback").report;
+  EXPECT_GT(r.cc_flows, 2u) << "mix never attached all three stacks";
+  EXPECT_GT(r.cc_marks, 0u) << "the bottleneck never marked";
+  EXPECT_GT(r.cc_echoes, 0u) << "no mark was ever echoed";
+  EXPECT_GT(r.tcp_segments, 0u);
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 // Unit tests for the engine's hot-path containers: Ring, DaryHeap,
-// IndexedDaryHeap, and the InlineAction SBO callable.
+// IndexedDaryHeap, IndexedCalendarQueue, OrderIndex, and the InlineAction
+// SBO callable.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
 #include <memory>
 #include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_action.h"
@@ -173,9 +177,9 @@ TEST(IndexedHeap, RandomisedAgainstReference) {
 // ------------------------------------------------------- CalendarQueue
 //
 // The calendar must pop in exactly the heap's total order — (KeyLess, id)
-// — across bucketed, overflow, solo and rebuilt states; the differential
-// scheduler harness (test_order_backend_diff.cc) covers the same contract
-// end-to-end, these tests pin the structure directly.
+// — across bucketed, overflow, solo and rebuilt states.  The scheduler
+// digests (test_golden_digests.cc) pin the same contract end to end; these
+// tests pin the structure directly.
 
 using Calendar = util::IndexedCalendarQueue<double, std::less<double>>;
 
@@ -290,32 +294,69 @@ TEST(CalendarQueue, TunerDoesNotCollapseOnDegenerateTies) {
   EXPECT_GT(c.bucket_width(), 1e-3);  // never ran away toward kMinExp
 }
 
-TEST(OrderIndex, AutoMigratesAcrossThresholdsKeepingOrder) {
-  // Grow past kAutoUp (heap -> calendar), then drain below kAutoDown
-  // (calendar -> heap); every pop must still match a pure-heap reference.
-  util::OrderIndex<double, std::less<double>> auto_idx(
-      util::OrderBackend::kAuto);
-  util::OrderIndex<double, std::less<double>> heap_idx(
-      util::OrderBackend::kHeap);
-  std::mt19937 rng(5);
-  std::uint32_t live = 0;
-  EXPECT_FALSE(auto_idx.on_calendar());
-  for (int step = 0; step < 30000; ++step) {
-    // Saw-tooth population: repeatedly crosses both hysteresis edges.
-    const bool grow = (step / 300) % 2 == 0;
-    if (grow || live == 0) {
+TEST(OrderIndex, SizeSwitchMatchesSortedReference) {
+  // A saw-tooth population that repeatedly crosses kCalendarAt upward and
+  // kHeapAt downward, under re-keys, erases and pops, checked op by op
+  // against a sorted (key, id) reference.  Keys sit on a coarse grid so
+  // id tie-breaks are exercised constantly.
+  using Index = util::OrderIndex<double, std::less<double>>;
+  for (const std::uint32_t seed : {5u, 6u, 7u}) {
+    Index idx;
+    std::set<std::pair<double, std::uint32_t>> ref;
+    std::map<std::uint32_t, double> key_of;
+    std::mt19937 rng(seed);
+    int to_calendar = 0;
+    int to_heap = 0;
+    bool was_calendar = idx.on_calendar();
+    EXPECT_FALSE(was_calendar);
+    bool grow = true;
+    for (int step = 0; step < 40000; ++step) {
+      if (ref.size() >= Index::kCalendarAt + 20) grow = false;
+      if (ref.size() <= Index::kHeapAt - 4) grow = true;
+      const auto op = rng() % 10;
       const std::uint32_t id = rng() % 256;
-      const double k = static_cast<double>(rng() % 1000) * 0.05;
-      auto_idx.upsert(id, k);
-      heap_idx.upsert(id, k);
-    } else {
-      const auto a = auto_idx.pop();
-      const auto h = heap_idx.pop();
-      ASSERT_EQ(a.id, h.id);
-      ASSERT_EQ(a.key, h.key);
+      if (op < (grow ? 6u : 2u)) {  // insert or re-key
+        const double k = static_cast<double>(rng() % 400) * 0.125;
+        const auto it = key_of.find(id);
+        if (it != key_of.end()) ref.erase({it->second, id});
+        key_of[id] = k;
+        ref.insert({k, id});
+        idx.upsert(id, k);
+      } else if (op < 8) {  // erase (may miss)
+        const auto it = key_of.find(id);
+        const bool present = it != key_of.end();
+        if (present) {
+          ref.erase({it->second, id});
+          key_of.erase(it);
+        }
+        ASSERT_EQ(idx.erase(id), present) << "step " << step;
+      } else if (!ref.empty()) {  // pop
+        const auto want = *ref.begin();
+        ref.erase(ref.begin());
+        key_of.erase(want.second);
+        const auto got = idx.pop();
+        ASSERT_EQ(got.id, want.second) << "step " << step;
+        ASSERT_EQ(got.key, want.first) << "step " << step;
+      }
+      ASSERT_EQ(idx.size(), ref.size()) << "step " << step;
+      ASSERT_EQ(idx.contains(id), key_of.count(id) == 1) << "step " << step;
+      if (!ref.empty()) {
+        ASSERT_EQ(idx.top_key(), ref.begin()->first);
+      }
+      if (idx.on_calendar() != was_calendar) {
+        was_calendar = idx.on_calendar();
+        (was_calendar ? to_calendar : to_heap) += 1;
+        // The switch happens exactly at the thresholds.
+        if (was_calendar) {
+          EXPECT_GE(idx.size(), Index::kCalendarAt);
+        } else {
+          EXPECT_LE(idx.size(), Index::kHeapAt);
+        }
+      }
     }
-    live = static_cast<std::uint32_t>(heap_idx.size());
-    ASSERT_EQ(auto_idx.size(), heap_idx.size());
+    // Both migrations really happened, many times over.
+    EXPECT_GE(to_calendar, 5) << "seed " << seed;
+    EXPECT_GE(to_heap, 5) << "seed " << seed;
   }
 }
 
