@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -25,6 +26,73 @@ WfqScheduler::Config cfg(double link_rate = 1000.0,
                          std::size_t capacity = 1000,
                          double default_weight = 1.0) {
   return {link_rate, capacity, default_weight};
+}
+
+// 200 flows backlogged at once put both of WFQ's orderings (head finish
+// tags and fluid departure epochs) far past OrderIndex's heap -> calendar
+// switch at 48, and draining takes them back below 12 to the heap.  With
+// every packet arriving at t=0 the expected behaviour has a closed form:
+// finish tags are cumulative size/weight sums, packets depart in (finish
+// tag, arrival) order, and V(t) is the batch GPS clock, whose slope
+// C / (sum of backlogged weights) steps at each flow's last finish tag.
+TEST(Wfq, ManyBackloggedFlowsDepartByFinishTagAndFollowGps) {
+  constexpr double kRate = 1e6;
+  constexpr int kFlows = 200;
+  WfqScheduler q(cfg(kRate, 100000));
+  struct Tag {
+    double finish;
+    std::uint64_t order;
+    net::FlowId flow;
+    std::uint64_t seq;
+  };
+  std::vector<Tag> expected;
+  std::map<double, double> weight_ending_at;  // last finish tag -> weight
+  std::uint64_t order = 0;
+  for (int f = 0; f < kFlows; ++f) {
+    const double w = 1.0 + f % 7;
+    q.add_flow(f, w);
+    double finish = 0;
+    for (int k = 0; k <= f % 4; ++k) {
+      const double bits = 1000.0 + 100.0 * ((f * 3 + k) % 9);
+      finish += bits * (1.0 / w);  // S = max(V(0) = 0, last finish)
+      expected.push_back({finish, order++, static_cast<net::FlowId>(f),
+                          static_cast<std::uint64_t>(k)});
+      EXPECT_TRUE(offer(q, pkt(f, k, 0.0, bits), 0.0).empty());
+    }
+    weight_ending_at[finish] += w;
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const Tag& a, const Tag& b) {
+              return a.finish != b.finish ? a.finish < b.finish
+                                          : a.order < b.order;
+            });
+  // Batch GPS: V rises at C / (weight still backlogged) until each last
+  // finish tag, where that flow's weight leaves the sum.
+  const auto gps = [&](double t) {
+    double v = 0;
+    double at = 0;
+    double backlogged = 0;
+    for (const auto& [end, w] : weight_ending_at) backlogged += w;
+    for (const auto& [end, w] : weight_ending_at) {
+      const double reach = at + (end - v) * backlogged / kRate;
+      if (t < reach) return v + (t - at) * kRate / backlogged;
+      v = end;
+      at = reach;
+      backlogged -= w;
+    }
+    return v;  // fluid system idle: V frozen
+  };
+  double now = 0;
+  for (const Tag& want : expected) {
+    auto p = q.dequeue(now);
+    ASSERT_NE(p, nullptr);
+    ASSERT_EQ(p->flow, want.flow) << "finish tag " << want.finish;
+    ASSERT_EQ(p->seq, want.seq) << "finish tag " << want.finish;
+    now += p->size_bits / kRate;
+    const double v = q.virtual_time(now);
+    EXPECT_NEAR(v, gps(now), 1e-9 * std::max(1.0, v)) << "t=" << now;
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(Wfq, AcceptsPacketsWithoutAFlowId) {
