@@ -20,8 +20,8 @@
 // function is monotone in the projected key, KeyLess orders primarily by
 // that same projection, and each bucket is kept sorted under the full
 // comparator, so equal-key ties resolve exactly as the heap resolves
-// them.  tests/test_util_structures.cc checks the structure against the
-// heap and OrderIndex against a sorted reference.
+// them.  tests/test_order_backend_diff.cc checks the structure against
+// the heap and OrderIndex against a sorted reference.
 //
 // Layout.  A power-of-two number of buckets (growing 16x each time
 // occupancy crosses a 10^5-seeded threshold, up to 2^16) covers one

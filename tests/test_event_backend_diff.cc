@@ -1,403 +1,304 @@
-// Differential determinism harness for the event-core ordering backends.
+// The event core's two orderings, checked against each other and against
+// a reference.
 //
-// The timing wheel may replace the 4-ary heap under the whole simulator
-// ONLY if the substitution is unobservable: identical firing order,
-// identical packet schedules, identical statistics — bit-for-bit.  This
-// harness is that proof, at two altitudes:
+// sim::EventQueue keeps its pending keys on a 4-ary heap below
+// kWheelThreshold (64) pending events and on the hierarchical timing wheel
+// above, moving every key to the wheel when an insert finds 64 pending
+// and back to the heap when a pop empties it.  The switch is only allowed
+// because it is unobservable: both structures pop in the exact (time, seq)
+// order, so which one holds the keys never changes which event fires next.
+// This suite is that proof at two altitudes:
 //
-//   * Queue level: seeded fuzz op-streams (schedules across wildly mixed
-//     horizons, same-instant clusters, cancel bursts, persistent timer
-//     arm/re-arm/disarm, interleaved pops) are replayed through a fresh
-//     EventQueue per backend; the (time, tag) firing sequences must match
-//     exactly.
-//   * Network level: seeded multi-hop workloads — the paper's Figure-1
-//     chain under WFQ with policed on/off sources, a fan-in merge under
-//     FIFO with Poisson overload, and a TCP transfer with CBR cross
-//     traffic (RTO re-arms, retry timers) — run once per backend; the
-//     full PacketTracer record stream (every transmit, drop and delivery
-//     with bit-equal timestamps and delay fields), the per-flow stats and
-//     the total event count must be identical across kHeap, kWheel and
-//     kAuto (which migrates mid-run).
+//   * Structure level: a seeded op stream is replayed into a bare
+//     util::TimingWheel and a util::DaryHeap; every pop must agree, across
+//     same-instant clusters, sub-tick coincidences, far horizons and the
+//     drain-and-reinsert path the wheel's resolution adaptation takes.
+//   * Queue level: the switch itself, and a fuzz of the queue (one-shot
+//     schedules, cancel bursts, persistent-timer arm / re-arm / disarm)
+//     against a test-side (time, seq) reference while the pending count
+//     repeatedly crosses 64 and drains to empty.
 //
-// Exact double equality is deliberate: delays are accumulated in firing
-// order, so even one transposition of a same-instant pair would surface
-// as a differing bit pattern somewhere downstream.
+// Whole net-level runs are pinned across commits by their digests in
+// tests/golden_digests.txt (test_golden_digests).
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstdint>
-#include <memory>
+#include <iterator>
+#include <map>
+#include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "net/network.h"
-#include "net/topology.h"
-#include "net/tracer.h"
-#include "sched/fifo.h"
-#include "sched/wfq.h"
-#include "sim/random.h"
-#include "sim/timer.h"
-#include "traffic/cbr_source.h"
-#include "traffic/onoff_source.h"
-#include "traffic/poisson_source.h"
-#include "traffic/tcp.h"
+#include "sim/event_queue.h"
+#include "util/dary_heap.h"
+#include "util/timing_wheel.h"
 
-namespace ispn {
+namespace ispn::sim {
 namespace {
 
-constexpr sim::EventBackend kBackends[] = {sim::EventBackend::kHeap,
-                                           sim::EventBackend::kWheel,
-                                           sim::EventBackend::kAuto};
+// --- structure level -------------------------------------------------------
 
-const char* name_of(sim::EventBackend b) {
-  switch (b) {
-    case sim::EventBackend::kHeap: return "heap";
-    case sim::EventBackend::kWheel: return "wheel";
-    case sim::EventBackend::kAuto: return "auto";
-  }
-  return "?";
-}
+struct WheelKey {
+  double t = 0;
+  std::uint64_t seq = 0;
+};
 
-// --- queue-level fuzz ------------------------------------------------------
-
-struct Firing {
-  sim::Time time;
-  int tag;
-  bool operator==(const Firing& o) const {
-    return time == o.time && tag == o.tag;
+struct WheelKeyLess {
+  bool operator()(const WheelKey& a, const WheelKey& b) const {
+    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   }
 };
 
-/// Replays a seeded op-stream and returns the exact firing sequence.  The
-/// stream interleaves one-shot schedules (mixed horizons from sub-tick to
-/// far future), cancels of random outstanding ids, persistent-timer
-/// re-arms/disarms, and pops.
-std::vector<Firing> replay_queue(std::uint64_t seed,
-                                 sim::EventBackend backend) {
-  std::mt19937_64 rng(seed * 0x9E3779B9u + 17);
-  sim::Simulator sim(backend);
-  std::vector<Firing> fired;
-  int next_tag = 0;
-
-  constexpr int kTimers = 4;
-  std::vector<sim::Timer> timers;
-  timers.reserve(kTimers);
-  std::vector<int> timer_tags(kTimers, -1);
-  for (int i = 0; i < kTimers; ++i) {
-    timers.emplace_back(sim, [&fired, &timer_tags, &sim, i] {
-      fired.push_back({sim.now(), timer_tags[i]});
-    });
-  }
-
-  std::vector<sim::EventId> outstanding;
-  auto horizon = [&rng]() -> double {
-    switch (rng() % 5) {
-      case 0: return 0.0;                                    // same instant
-      case 1: return 1e-9 * static_cast<double>(rng() % 50);  // sub-tick
-      case 2: return 1e-4 * static_cast<double>(1 + rng() % 100);
-      case 3: return 1e-2 * static_cast<double>(1 + rng() % 100);
-      default: return 10.0 * static_cast<double>(1 + rng() % 10);
-    }
+TEST(EventOrderDiff, TimingWheelPopsInDaryHeapOrder) {
+  constexpr double kTicksPerSec = 131072.0;  // 2^17, the queue's base rate
+  const auto tick_of = [](double t) {
+    return static_cast<std::uint64_t>(std::floor(t * kTicksPerSec));
   };
-
-  for (int step = 0; step < 4000; ++step) {
-    switch (rng() % 8) {
-      case 0:
-      case 1:
-      case 2: {  // schedule a one-shot
-        const int tag = next_tag++;
-        outstanding.push_back(sim.after(
-            horizon(), [&fired, &sim, tag] { fired.push_back({sim.now(), tag}); }));
-        break;
-      }
-      case 3: {  // cancel a random outstanding id (may already be stale)
-        if (!outstanding.empty()) {
-          const std::size_t i = rng() % outstanding.size();
-          sim.cancel(outstanding[i]);
-          outstanding[i] = outstanding.back();
-          outstanding.pop_back();
+  for (const std::uint64_t seed : {3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::TimingWheel<WheelKey, WheelKeyLess> wheel;
+    util::DaryHeap<WheelKey, WheelKeyLess> heap;
+    std::mt19937_64 rng(seed);
+    double now = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t pops = 0;
+    int drains = 0;
+    std::vector<WheelKey> drained;
+    for (int step = 0; step < 60000; ++step) {
+      const auto op = rng() % 16;
+      if (op < 9) {  // insert at a mixed horizon from the current instant
+        double dt = 0;
+        switch (rng() % 5) {
+          case 0: dt = 0.0; break;                                     // same instant
+          case 1: dt = 1e-9 * static_cast<double>(rng() % 50); break;  // sub-tick
+          case 2: dt = 1e-4 * static_cast<double>(1 + rng() % 100); break;
+          case 3: dt = 1e-2 * static_cast<double>(1 + rng() % 100); break;
+          default: dt = 10.0 * static_cast<double>(1 + rng() % 10); break;
         }
-        break;
+        const WheelKey k{now + dt, seq++};
+        wheel.insert(k, tick_of(k.t));
+        heap.push(k);
+      } else if (op == 15 && rng() % 16 == 0 && !wheel.empty()) {
+        // The resolution-adaptation path: every key out, then back in.
+        drained.clear();
+        wheel.drain_into(drained, tick_of(now));
+        for (const WheelKey& k : drained) wheel.insert(k, tick_of(k.t));
+        ++drains;
+      } else if (!heap.empty()) {  // pop
+        const WheelKey want = heap.pop();
+        const WheelKey got = wheel.pop_front();
+        ASSERT_EQ(got.t, want.t) << "step " << step;
+        ASSERT_EQ(got.seq, want.seq) << "step " << step;
+        now = want.t;
+        ++pops;
       }
-      case 4: {  // (re-)arm a persistent timer
-        const int t = static_cast<int>(rng() % kTimers);
-        timer_tags[static_cast<std::size_t>(t)] = next_tag++;
-        timers[static_cast<std::size_t>(t)].arm_after(horizon());
-        break;
-      }
-      case 5: {  // disarm a timer
-        timers[rng() % kTimers].disarm();
-        break;
-      }
-      default: {  // pop a burst
-        const int n = static_cast<int>(rng() % 4);
-        for (int i = 0; i < n && !sim.idle(); ++i) sim.step();
-        break;
-      }
+      ASSERT_EQ(wheel.size(), heap.size()) << "step " << step;
+    }
+    while (!heap.empty()) {
+      const WheelKey want = heap.pop();
+      const WheelKey got = wheel.pop_front();
+      ASSERT_EQ(got.t, want.t);
+      ASSERT_EQ(got.seq, want.seq);
+      ++pops;
+    }
+    EXPECT_TRUE(wheel.empty());
+    EXPECT_GT(pops, 30000u);
+    EXPECT_GT(drains, 50);
+  }
+}
+
+// --- queue level -----------------------------------------------------------
+
+TEST(EventQueueSwitch, MovesToWheelAbove64AndBackAtDrain) {
+  EventQueue q;
+  // The heap holds up to kWheelThreshold keys; the next insert moves
+  // every key to the wheel.
+  for (std::size_t i = 0; i < EventQueue::kWheelThreshold; ++i) {
+    q.schedule(0.001 * static_cast<double>(i + 1), [] {});
+  }
+  EXPECT_FALSE(q.on_wheel());
+  for (int i = 0; i < 136; ++i) q.schedule(0.1 + 0.001 * i, [] {});
+  EXPECT_TRUE(q.on_wheel());
+  std::vector<Time> times;
+  while (!q.empty()) {
+    times.push_back(q.pop().time);
+    if (!q.empty()) {
+      EXPECT_TRUE(q.on_wheel()) << "left the wheel early";
     }
   }
-  sim.run();
-  return fired;
+  for (std::size_t i = 1; i < times.size(); ++i) {
+    EXPECT_LT(times[i - 1], times[i]);
+  }
+  // Drained: back on the heap, and small loads stay there.
+  EXPECT_FALSE(q.on_wheel());
+  q.schedule(1.0, [] {});
+  EXPECT_FALSE(q.on_wheel());
 }
 
-TEST(EventBackendDiff, QueueFuzzFiringOrderIdentical) {
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    const auto ref = replay_queue(seed, sim::EventBackend::kHeap);
-    EXPECT_GT(ref.size(), 1000u);
-    for (sim::EventBackend backend : kBackends) {
-      if (backend == sim::EventBackend::kHeap) continue;
-      const auto got = replay_queue(seed, backend);
-      ASSERT_EQ(ref.size(), got.size())
-          << "seed " << seed << " under " << name_of(backend);
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        ASSERT_TRUE(ref[i] == got[i])
-            << "seed " << seed << " firing " << i << " diverged under "
-            << name_of(backend) << ": (" << got[i].time << ", " << got[i].tag
-            << ") vs (" << ref[i].time << ", " << ref[i].tag << ")";
+// Seeded op streams (one-shot schedules across mixed horizons, cancel
+// bursts, persistent-timer arm / re-arm / disarm, interleaved pops) are
+// checked step by step against a test-side (time, seq) reference.  The
+// streams alternate fill phases, which push the pending count past the
+// wheel threshold, and drain phases, which pop the queue empty (where it
+// goes back to the heap), several times per seed.
+TEST(EventQueueSwitch, FuzzMatchesTimeSeqReference) {
+  struct Entry {
+    int tag = 0;
+    EventId id = kInvalidEventId;  ///< one-shot handle (kInvalid: timer)
+    int timer = -1;
+  };
+  using Key = std::pair<Time, std::uint64_t>;
+  constexpr int kTimers = 4;
+
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed * 0x9E3779B9u + 17);
+    EventQueue q;
+    Time now = 0;
+    std::uint64_t next_seq = 0;
+    std::map<Key, Entry> ref;
+    std::map<EventId, Key> one_shots;
+    std::array<std::optional<Key>, kTimers> timer_keys;
+    std::array<int, kTimers> timer_tags{};
+    std::array<InlineAction, kTimers> timer_actions;
+    std::array<TimerSlot, kTimers> timers{};
+    int last_fired = -1;
+    for (int t = 0; t < kTimers; ++t) {
+      timer_actions[t] = InlineAction(
+          [&last_fired, &timer_tags, t] { last_fired = timer_tags[t]; });
+      timers[t] = q.create_timer(&timer_actions[t]);
+    }
+    int next_tag = 0;
+    int pops = 0;
+    int to_wheel = 0;
+    int to_heap = 0;
+    bool was_wheel = false;
+
+    const auto horizon = [&rng]() -> double {
+      switch (rng() % 5) {
+        case 0: return 0.0;                                     // same instant
+        case 1: return 1e-9 * static_cast<double>(rng() % 50);  // sub-tick
+        case 2: return 1e-4 * static_cast<double>(1 + rng() % 100);
+        case 3: return 1e-2 * static_cast<double>(1 + rng() % 100);
+        default: return 10.0 * static_cast<double>(1 + rng() % 10);
       }
+    };
+    const auto pop_one = [&] {
+      ASSERT_FALSE(ref.empty());
+      const auto [key, want] = *ref.begin();
+      ref.erase(ref.begin());
+      if (want.timer >= 0) {
+        timer_keys[want.timer].reset();
+      } else {
+        one_shots.erase(want.id);
+      }
+      ASSERT_DOUBLE_EQ(q.next_time(), key.first);
+      auto fired = q.pop();
+      ASSERT_EQ(fired.time, key.first);
+      now = fired.time;
+      fired();
+      ASSERT_EQ(last_fired, want.tag) << "at t=" << key.first;
+      ++pops;
+    };
+    const auto note_switch = [&] {
+      if (q.on_wheel() != was_wheel) {
+        was_wheel = q.on_wheel();
+        (was_wheel ? to_wheel : to_heap) += 1;
+      }
+    };
+
+    for (int cycle = 0; cycle < 6; ++cycle) {
+      // Fill: grow well past the threshold amid cancels and timer churn
+      // (schedules outnumber removals, so the population drifts upward).
+      const std::size_t peak = 80 + rng() % 200;
+      while (ref.size() < peak) {
+        switch (rng() % 10) {
+          case 0:
+          case 1:
+          case 2:
+          case 3:
+          case 4:
+          case 5: {  // schedule a one-shot
+            const int tag = next_tag++;
+            const Time at = now + horizon();
+            const EventId id =
+                q.schedule(at, [&last_fired, tag] { last_fired = tag; });
+            const Key key{at, next_seq++};
+            ref[key] = Entry{tag, id, -1};
+            one_shots[id] = key;
+            break;
+          }
+          case 6: {  // cancel burst
+            for (int n = 1 + static_cast<int>(rng() % 4); n > 0; --n) {
+              if (one_shots.empty()) break;
+              auto it = one_shots.begin();
+              std::advance(it, rng() % one_shots.size());
+              ref.erase(it->second);
+              ASSERT_TRUE(q.cancel(it->first));
+              ASSERT_FALSE(q.cancel(it->first));
+              one_shots.erase(it);
+            }
+            break;
+          }
+          case 7: {  // (re-)arm a timer: supersedes any pending arm
+            const int t = static_cast<int>(rng() % kTimers);
+            if (timer_keys[t]) ref.erase(*timer_keys[t]);
+            timer_tags[t] = next_tag++;
+            const Time at = now + horizon();
+            q.arm_timer(timers[t], at);
+            const Key key{at, next_seq++};
+            ref[key] = Entry{timer_tags[t], kInvalidEventId, t};
+            timer_keys[t] = key;
+            break;
+          }
+          case 8: {  // disarm a timer
+            const int t = static_cast<int>(rng() % kTimers);
+            ASSERT_EQ(q.disarm_timer(timers[t]), timer_keys[t].has_value());
+            if (timer_keys[t]) ref.erase(*timer_keys[t]);
+            timer_keys[t].reset();
+            break;
+          }
+          default: {  // pop a short burst
+            for (int n = static_cast<int>(rng() % 4); n > 0 && !ref.empty();
+                 --n) {
+              pop_one();
+              if (HasFatalFailure()) return;
+            }
+            break;
+          }
+        }
+        ASSERT_EQ(q.size(), ref.size());
+        note_switch();
+      }
+      // Drain: pop to empty, with an occasional cancel mid-way.  The last
+      // event is always popped: only a pop that empties the queue sends
+      // it back to the heap.
+      while (!ref.empty()) {
+        if (rng() % 16 == 0 && !one_shots.empty() && ref.size() > 1) {
+          const auto it = one_shots.begin();
+          ref.erase(it->second);
+          ASSERT_TRUE(q.cancel(it->first));
+          one_shots.erase(it);
+          continue;
+        }
+        pop_one();
+        if (HasFatalFailure()) return;
+        note_switch();
+      }
+      ASSERT_TRUE(q.empty());
     }
+    // The switch really happened in both directions, every cycle.
+    EXPECT_GT(pops, 1000);
+    EXPECT_GE(to_wheel, 6);
+    EXPECT_GE(to_heap, 5);
+    for (const TimerSlot t : timers) q.destroy_timer(t);
   }
-}
-
-// --- network-level workloads ----------------------------------------------
-
-struct NetTrace {
-  std::vector<net::PacketTracer::Record> records;
-  std::uint64_t processed = 0;
-  // Flattened per-flow stats, in flow order.
-  std::vector<double> stats;
-};
-
-void flatten_stats(const std::map<net::FlowId, net::FlowStats>& all,
-                   std::vector<double>* out) {
-  for (const auto& [flow, st] : all) {
-    out->push_back(static_cast<double>(flow));
-    out->push_back(static_cast<double>(st.generated));
-    out->push_back(static_cast<double>(st.source_drops));
-    out->push_back(static_cast<double>(st.injected));
-    out->push_back(static_cast<double>(st.net_drops));
-    out->push_back(static_cast<double>(st.received));
-    out->push_back(st.bits_received);
-    out->push_back(static_cast<double>(st.queueing_delay.count()));
-    out->push_back(st.queueing_delay.empty() ? 0 : st.queueing_delay.mean());
-    out->push_back(st.queueing_delay.empty() ? 0 : st.queueing_delay.max());
-    out->push_back(static_cast<double>(st.e2e_delay.count()));
-    out->push_back(st.e2e_delay.empty() ? 0 : st.e2e_delay.mean());
-    out->push_back(st.e2e_delay.empty() ? 0 : st.e2e_delay.max());
-  }
-}
-
-bool record_eq(const net::PacketTracer::Record& a,
-               const net::PacketTracer::Record& b) {
-  return a.time == b.time && a.event == b.event && a.flow == b.flow &&
-         a.seq == b.seq && a.node == b.node &&
-         a.queueing_delay == b.queueing_delay &&
-         a.jitter_offset == b.jitter_offset;
-}
-
-void expect_identical(const NetTrace& ref, const NetTrace& got,
-                      sim::EventBackend backend, const std::string& what) {
-  ASSERT_EQ(ref.processed, got.processed)
-      << what << ": event count diverged under " << name_of(backend);
-  ASSERT_EQ(ref.records.size(), got.records.size()) << what;
-  for (std::size_t i = 0; i < ref.records.size(); ++i) {
-    ASSERT_TRUE(record_eq(ref.records[i], got.records[i]))
-        << what << ": trace record " << i << " diverged under "
-        << name_of(backend) << " (flow " << got.records[i].flow << " seq "
-        << got.records[i].seq << " t=" << got.records[i].time << " vs flow "
-        << ref.records[i].flow << " seq " << ref.records[i].seq
-        << " t=" << ref.records[i].time << ")";
-  }
-  ASSERT_EQ(ref.stats.size(), got.stats.size()) << what;
-  for (std::size_t i = 0; i < ref.stats.size(); ++i) {
-    ASSERT_EQ(ref.stats[i], got.stats[i])
-        << what << ": stats word " << i << " diverged under "
-        << name_of(backend);
-  }
-}
-
-/// The Figure-1 chain under WFQ: 10 policed on/off flows with mixed path
-/// lengths plus 2 CBR probes, 6 simulated seconds.
-NetTrace run_chain_wfq(std::uint64_t seed, sim::EventBackend backend) {
-  net::Network net(backend);
-  const auto topo = net::build_chain(net, 5, 1e6, [] {
-    return std::make_unique<sched::WfqScheduler>(
-        sched::WfqScheduler::Config{1e6, 40, 1e4});
-  });
-  net::PacketTracer tracer(1u << 22);
-  tracer.attach(net);
-
-  std::vector<std::unique_ptr<traffic::Source>> sources;
-  traffic::OnOffSource::Config on_off;  // paper defaults: A=85, B=5, P=2A
-  for (int f = 0; f < 10; ++f) {
-    const std::size_t src_sw = static_cast<std::size_t>(f % 2);
-    const std::size_t dst_sw = static_cast<std::size_t>(4 - (f % 3));
-    const net::NodeId src = topo.hosts[src_sw];
-    const net::NodeId dst = topo.hosts[dst_sw];
-    net::Host& host = net.host(src);
-    auto s = std::make_unique<traffic::OnOffSource>(
-        net.sim(), on_off, sim::Rng(seed, static_cast<std::uint64_t>(f)), f,
-        src, dst, [&host](net::PacketPtr p) { host.inject(std::move(p)); },
-        &net.stats(f), on_off.paper_filter());
-    s->start(0.01 * f);
-    net.attach_stats_sink(f, dst, tracer.wrap_sink());
-    sources.push_back(std::move(s));
-  }
-  for (int f = 10; f < 12; ++f) {
-    const net::NodeId src = topo.hosts[0];
-    const net::NodeId dst = topo.hosts[4];
-    net::Host& host = net.host(src);
-    auto s = std::make_unique<traffic::CbrSource>(
-        net.sim(), traffic::CbrSource::Config{120.0 + 10.0 * f}, f, src, dst,
-        [&host](net::PacketPtr p) { host.inject(std::move(p)); },
-        &net.stats(f));
-    s->start(0.005 * f);
-    net.attach_stats_sink(f, dst, tracer.wrap_sink());
-    sources.push_back(std::move(s));
-  }
-
-  net.sim().run_until(6.0);
-  NetTrace out;
-  out.records = tracer.records();
-  out.processed = net.sim().processed();
-  flatten_stats(net.all_stats(), &out.stats);
-  return out;
-}
-
-/// Fan-in overload under FIFO: four Poisson feeds converge on one
-/// bottleneck; drops and retry-free FIFO dynamics, 6 simulated seconds.
-NetTrace run_fan_in_fifo(std::uint64_t seed, sim::EventBackend backend) {
-  net::Network net(backend);
-  const auto topo = net::build_fan_in(net, 4, 2e6, 1e6, [] {
-    return std::make_unique<sched::FifoScheduler>(30);
-  });
-  net::PacketTracer tracer(1u << 22);
-  tracer.attach(net);
-
-  std::vector<std::unique_ptr<traffic::Source>> sources;
-  for (int f = 0; f < 4; ++f) {
-    const net::NodeId src = topo.src_hosts[static_cast<std::size_t>(f)];
-    const net::NodeId dst = topo.sink_host;
-    net::Host& host = net.host(src);
-    auto s = std::make_unique<traffic::PoissonSource>(
-        net.sim(), traffic::PoissonSource::Config{300.0 + 50.0 * f},
-        sim::Rng(seed, 100 + static_cast<std::uint64_t>(f)), f, src, dst,
-        [&host](net::PacketPtr p) { host.inject(std::move(p)); },
-        &net.stats(f));
-    s->start(0.002 * f);
-    net.attach_stats_sink(f, dst, tracer.wrap_sink());
-    sources.push_back(std::move(s));
-  }
-
-  net.sim().run_until(6.0);
-  NetTrace out;
-  out.records = tracer.records();
-  out.processed = net.sim().processed();
-  flatten_stats(net.all_stats(), &out.stats);
-  return out;
-}
-
-/// TCP with CBR cross traffic on a tight dumbbell: exercises RTO re-arm,
-/// fast retransmit and the ACK reverse path, 8 simulated seconds.
-NetTrace run_tcp_dumbbell(std::uint64_t seed, sim::EventBackend backend) {
-  net::Network net(backend);
-  const auto topo = net::build_dumbbell(net, 1e6, [] {
-    return std::make_unique<sched::FifoScheduler>(12);
-  });
-  net::PacketTracer tracer(1u << 22);
-  tracer.attach(net);
-
-  net::Host& left = net.host(topo.left_host);
-  net::Host& right = net.host(topo.right_host);
-  traffic::TcpSource::Config cfg;
-  traffic::TcpSource tcp(
-      net.sim(), cfg, 1, topo.left_host, topo.right_host,
-      [&left](net::PacketPtr p) { left.inject(std::move(p)); }, &net.stats(1));
-  traffic::TcpSink sink(net.sim(), cfg, 1, topo.right_host, topo.left_host,
-                        [&right](net::PacketPtr p) {
-                          right.inject(std::move(p));
-                        });
-  left.register_sink(1, &tcp);
-  net.attach_stats_sink(1, topo.right_host, &sink);
-
-  // CBR cross traffic paced off the seed so runs differ across seeds.
-  traffic::CbrSource cross(
-      net.sim(),
-      traffic::CbrSource::Config{400.0 + static_cast<double>(seed % 7) * 25.0},
-      2, topo.left_host, topo.right_host,
-      [&left](net::PacketPtr p) { left.inject(std::move(p)); }, &net.stats(2));
-  net.attach_stats_sink(2, topo.right_host, tracer.wrap_sink());
-
-  tcp.start(0);
-  cross.start(0.001);
-  net.sim().run_until(8.0);
-  NetTrace out;
-  out.records = tracer.records();
-  out.processed = net.sim().processed();
-  flatten_stats(net.all_stats(), &out.stats);
-  return out;
-}
-
-using RunFn = NetTrace (*)(std::uint64_t, sim::EventBackend);
-
-void diff_workload(RunFn run, const char* label, int seeds) {
-  for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(seeds);
-       ++seed) {
-    const NetTrace ref = run(seed, sim::EventBackend::kHeap);
-    EXPECT_GT(ref.records.size(), 100u) << label;
-    for (sim::EventBackend backend : kBackends) {
-      if (backend == sim::EventBackend::kHeap) continue;
-      const NetTrace got = run(seed, backend);
-      expect_identical(ref, got, backend,
-                       std::string(label) + " seed=" + std::to_string(seed));
-    }
-  }
-}
-
-TEST(EventBackendDiff, ChainWfqTracesIdentical) {
-  diff_workload(&run_chain_wfq, "chain-wfq", 10);
-}
-
-TEST(EventBackendDiff, FanInFifoTracesIdentical) {
-  diff_workload(&run_fan_in_fifo, "fan-in-fifo", 10);
-}
-
-TEST(EventBackendDiff, TcpDumbbellTracesIdentical) {
-  diff_workload(&run_tcp_dumbbell, "tcp-dumbbell", 10);
-}
-
-// The workloads must actually exercise the machinery whose order could
-// diverge — drops, multi-hop queueing, retransmissions — otherwise
-// "identical traces" would be vacuous.
-TEST(EventBackendDiff, WorkloadsExerciseDropsAndRetransmits) {
-  const NetTrace fan = run_fan_in_fifo(1, sim::EventBackend::kWheel);
-  std::size_t drops = 0;
-  for (const auto& r : fan.records) {
-    if (r.event == net::PacketTracer::Event::kDrop) ++drops;
-  }
-  EXPECT_GT(drops, 0u) << "fan-in never overloaded its bottleneck";
-
-  net::Network net(sim::EventBackend::kWheel);
-  const auto topo = net::build_dumbbell(net, 1e6, [] {
-    return std::make_unique<sched::FifoScheduler>(12);
-  });
-  net::Host& left = net.host(topo.left_host);
-  net::Host& right = net.host(topo.right_host);
-  traffic::TcpSource::Config cfg;
-  traffic::TcpSource tcp(
-      net.sim(), cfg, 1, topo.left_host, topo.right_host,
-      [&left](net::PacketPtr p) { left.inject(std::move(p)); }, &net.stats(1));
-  traffic::TcpSink sink(net.sim(), cfg, 1, topo.right_host, topo.left_host,
-                        [&right](net::PacketPtr p) {
-                          right.inject(std::move(p));
-                        });
-  left.register_sink(1, &tcp);
-  net.attach_stats_sink(1, topo.right_host, &sink);
-  tcp.start(0);
-  net.sim().run_until(8.0);
-  EXPECT_GT(tcp.retransmits(), 0u) << "TCP never hit the tiny buffer";
 }
 
 }  // namespace
-}  // namespace ispn
+}  // namespace ispn::sim

@@ -1,278 +1,136 @@
-// Differential determinism harness for the ordering backends.
+// The virtual-time ordering's two structures, checked against each other
+// and against a reference.
 //
-// The calendar queue may replace the indexed heap under WFQ and the
-// unified scheduler ONLY if the substitution is unobservable: same
-// packets, same order, same drops, same V(t) — bit-for-bit.  This harness
-// is that proof.  Seeded fuzz workloads (mixed packet sizes, uneven
-// weights, bursts, idle gaps, pushout overload, dequeue-time stale
-// discards) are generated once per (seed, flow-count) and replayed
-// through a fresh scheduler per backend; the resulting departure/drop
-// traces and V(t) trajectories must compare exactly across
-// OrderBackend::kHeap, kCalendar, and kAuto.
+// util::OrderIndex — the tag order under WFQ and the unified scheduler —
+// keeps its entries on util::IndexedDaryHeap below kCalendarAt (48)
+// entries and on util::IndexedCalendarQueue from there, going back to the
+// heap at kHeapAt (12) or fewer.  The switch is only allowed because it is
+// unobservable: both structures pop in the same (key, id) total order, so
+// departures and V(t) are bit-identical whichever one serves a pop.  This
+// suite is that proof:
 //
-// Exact double equality is deliberate: the fluid clock's weight sums are
-// accumulated in pop order, so even a reordering of two equal-tag
-// departures would eventually surface as a differing V(t) bit pattern.
+//   * the calendar replays a seeded op stream in lockstep with the heap,
+//     with keys on a coarse grid so equal-key ties occur constantly;
+//   * OrderIndex is fuzzed against a sorted (key, id) reference while its
+//     population repeatedly crosses both thresholds, asserting that both
+//     migrations really happen.
+//
+// Whole WFQ and unified scheduler runs (departures plus V(t) bits) are
+// pinned across commits by their digests in tests/golden_digests.txt
+// (test_golden_digests), and test_wfq drives both WFQ orderings onto the
+// calendar and back against the closed-form GPS clock.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <random>
-#include <string>
-#include <vector>
+#include <set>
+#include <utility>
 
-#include "sched/unified.h"
-#include "sched/wfq.h"
-#include "sched_test_util.h"
+#include "util/calendar_queue.h"
+#include "util/indexed_heap.h"
 
-namespace ispn::sched {
+namespace ispn {
 namespace {
 
-using sched_test::BackendTrace;
-using sched_test::depart_event;
-using sched_test::drop_event;
-using sched_test::TraceEvent;
+using Calendar = util::IndexedCalendarQueue<double, std::less<double>>;
 
-constexpr OrderBackend kBackends[] = {
-    OrderBackend::kHeap, OrderBackend::kCalendar, OrderBackend::kAuto};
-
-const char* name_of(OrderBackend b) {
-  switch (b) {
-    case OrderBackend::kHeap: return "heap";
-    case OrderBackend::kCalendar: return "calendar";
-    case OrderBackend::kAuto: return "auto";
+TEST(CalendarQueue, RandomisedAgainstIndexedHeap) {
+  // Same op stream into both structures: pops and tops must agree exactly,
+  // including ties.  Keys are drawn from a coarse grid so identical keys
+  // (the degenerate WFQ pattern) occur constantly.
+  Calendar c;
+  util::IndexedDaryHeap<double, std::less<double>> h;
+  std::mt19937 rng(71);
+  for (int step = 0; step < 50000; ++step) {
+    const auto op = rng() % 5;
+    const std::uint32_t id = rng() % 48;
+    if (op <= 2) {
+      const double k = static_cast<double>(rng() % 512) * 0.125;
+      c.upsert(id, k);
+      h.upsert(id, k);
+    } else if (op == 3) {
+      EXPECT_EQ(c.erase(id), h.erase(id));
+    } else if (!h.empty()) {
+      const auto ce = c.pop();
+      const auto he = h.pop();
+      ASSERT_EQ(ce.id, he.id);
+      ASSERT_EQ(ce.key, he.key);
+    }
+    ASSERT_EQ(c.size(), h.size());
+    if (!h.empty()) {
+      ASSERT_EQ(c.top().key, h.top().key);
+    }
   }
-  return "?";
 }
 
-// One pre-generated workload step.  The op list is materialised first and
-// replayed verbatim per backend, so every instance sees byte-identical
-// inputs regardless of what the scheduler under test does with them.
-struct Op {
-  enum class Kind : std::uint8_t { kEnqueue, kDequeue, kAdvance };
-  Kind kind{};
-  net::FlowId flow = 0;
-  std::uint64_t seq = 0;
-  sim::Bits size_bits = 0;
-  double jitter_offset = 0;
-  std::uint8_t cls = 0;  ///< unified: 0..K-1 predicted, K guaranteed, K+1 dgram
-  double dt = 0;         ///< advance: time step
-};
-
-struct Workload {
-  std::vector<Op> ops;
-  std::vector<double> weights;  ///< per flow (wfq weight / guaranteed rate)
-};
-
-/// Mixed sizes, bursts, uneven weights, overload phases.  ~6k ops.
-Workload make_workload(std::uint64_t seed, int flows) {
-  std::mt19937_64 rng(seed * 7919 + flows);
-  Workload w;
-  w.weights.reserve(flows);
-  for (int f = 0; f < flows; ++f) {
-    // Uneven but bounded weights; for unified these become guaranteed
-    // rates, so keep their sum well under the 1e6 link rate.
-    w.weights.push_back(1e3 * (1.0 + static_cast<double>(rng() % 8)) /
-                        flows * 4.0);
-  }
-  std::uint64_t seq = 0;
-  for (int step = 0; step < 2000; ++step) {
-    // Burst of arrivals (overload phases come from bursts > dequeues).
-    const int burst = 1 + static_cast<int>(rng() % 4);
-    for (int b = 0; b < burst; ++b) {
-      Op op;
-      op.kind = Op::Kind::kEnqueue;
-      op.flow = static_cast<net::FlowId>(rng() % flows);
-      op.seq = seq++;
-      op.size_bits = 100.0 + static_cast<double>(rng() % 120) * 100.0;
-      op.jitter_offset = (rng() % 4 == 0)
-                             ? static_cast<double>(rng() % 100) * 1e-3
-                             : 0.0;
-      op.cls = static_cast<std::uint8_t>(rng() % 4);
-      w.ops.push_back(op);
-    }
-    const int deqs = static_cast<int>(rng() % 3);
-    for (int d = 0; d < deqs; ++d) {
-      w.ops.push_back(Op{Op::Kind::kDequeue, 0, 0, 0, 0, 0, 0});
-    }
-    Op adv;
-    adv.kind = Op::Kind::kAdvance;
-    adv.dt = (rng() % 8 == 0) ? 0.0
-                              : static_cast<double>(1 + rng() % 50) * 1e-4;
-    w.ops.push_back(adv);
-  }
-  return w;
-}
-
-/// Replays `w` through `sched`, recording every emitted packet and the
-/// V(t) after each op.  `vtime` reads the scheduler's virtual time.
-template <typename Sched, typename VtimeFn>
-BackendTrace replay(Sched& sched, const Workload& w, VtimeFn vtime,
-                    bool unified) {
-  BackendTrace trace;
-  sched.set_drop_sink([&trace](net::PacketPtr victim, sim::Time) {
-    trace.events.push_back(drop_event(*victim));
-  });
-  double now = 0;
-  for (const Op& op : w.ops) {
-    switch (op.kind) {
-      case Op::Kind::kEnqueue: {
-        auto p = sched_test::pkt(op.flow, op.seq, now, op.size_bits);
-        if (unified) {
-          if (op.cls == 3) {
-            p->service = net::ServiceClass::kGuaranteed;
-          } else if (op.cls == 2) {
-            p->service = net::ServiceClass::kDatagram;
-          } else {
-            p->service = net::ServiceClass::kPredicted;
-            p->priority = op.cls;
-            p->jitter_offset = op.jitter_offset;
-          }
-        } else {
-          p->service = net::ServiceClass::kPredicted;
+TEST(OrderIndex, SizeSwitchMatchesSortedReference) {
+  // A saw-tooth population that repeatedly crosses kCalendarAt upward and
+  // kHeapAt downward, under re-keys, erases and pops, checked op by op
+  // against a sorted (key, id) reference.  Keys sit on a coarse grid so
+  // id tie-breaks are exercised constantly.
+  using Index = util::OrderIndex<double, std::less<double>>;
+  for (const std::uint32_t seed : {5u, 6u, 7u}) {
+    Index idx;
+    std::set<std::pair<double, std::uint32_t>> ref;
+    std::map<std::uint32_t, double> key_of;
+    std::mt19937 rng(seed);
+    int to_calendar = 0;
+    int to_heap = 0;
+    bool was_calendar = idx.on_calendar();
+    EXPECT_FALSE(was_calendar);
+    bool grow = true;
+    for (int step = 0; step < 40000; ++step) {
+      if (ref.size() >= Index::kCalendarAt + 20) grow = false;
+      if (ref.size() <= Index::kHeapAt - 4) grow = true;
+      const auto op = rng() % 10;
+      const std::uint32_t id = rng() % 256;
+      if (op < (grow ? 6u : 2u)) {  // insert or re-key
+        const double k = static_cast<double>(rng() % 400) * 0.125;
+        const auto it = key_of.find(id);
+        if (it != key_of.end()) ref.erase({it->second, id});
+        key_of[id] = k;
+        ref.insert({k, id});
+        idx.upsert(id, k);
+      } else if (op < 8) {  // erase (may miss)
+        const auto it = key_of.find(id);
+        const bool present = it != key_of.end();
+        if (present) {
+          ref.erase({it->second, id});
+          key_of.erase(it);
         }
-        sched.enqueue(std::move(p), now);
-        break;
+        ASSERT_EQ(idx.erase(id), present) << "step " << step;
+      } else if (!ref.empty()) {  // pop
+        const auto want = *ref.begin();
+        ref.erase(ref.begin());
+        key_of.erase(want.second);
+        const auto got = idx.pop();
+        ASSERT_EQ(got.id, want.second) << "step " << step;
+        ASSERT_EQ(got.key, want.first) << "step " << step;
       }
-      case Op::Kind::kDequeue: {
-        auto p = sched.dequeue(now);
-        if (p != nullptr) trace.events.push_back(depart_event(*p));
-        break;
+      ASSERT_EQ(idx.size(), ref.size()) << "step " << step;
+      ASSERT_EQ(idx.contains(id), key_of.count(id) == 1) << "step " << step;
+      if (!ref.empty()) {
+        ASSERT_EQ(idx.top_key(), ref.begin()->first);
       }
-      case Op::Kind::kAdvance:
-        now += op.dt;
-        break;
-    }
-    trace.vtimes.push_back(vtime(sched, now));
-  }
-  // Drain: every queued packet must depart in backend-identical order too.
-  now += 10.0;
-  while (!sched.empty()) {
-    auto p = sched.dequeue(now);
-    if (p != nullptr) trace.events.push_back(depart_event(*p));
-    trace.vtimes.push_back(vtime(sched, now));
-    now += 1e-3;
-  }
-  sched.set_drop_sink({});
-  return trace;
-}
-
-void expect_identical(const BackendTrace& ref, const BackendTrace& got,
-                      OrderBackend backend, const std::string& what) {
-  ASSERT_EQ(ref.events.size(), got.events.size())
-      << what << ": event count diverged under " << name_of(backend);
-  for (std::size_t i = 0; i < ref.events.size(); ++i) {
-    ASSERT_TRUE(ref.events[i] == got.events[i])
-        << what << ": event " << i << " diverged under " << name_of(backend)
-        << " (flow " << got.events[i].flow << " seq " << got.events[i].seq
-        << " vs flow " << ref.events[i].flow << " seq " << ref.events[i].seq
-        << ")";
-  }
-  ASSERT_EQ(ref.vtimes.size(), got.vtimes.size()) << what;
-  for (std::size_t i = 0; i < ref.vtimes.size(); ++i) {
-    // Bit-exact: the fluid advance must walk identical epochs.
-    ASSERT_EQ(ref.vtimes[i], got.vtimes[i])
-        << what << ": V(t) sample " << i << " diverged under "
-        << name_of(backend);
-  }
-}
-
-BackendTrace run_wfq(const Workload& w, int flows, OrderBackend backend) {
-  // Small buffer so bursts push packets out (the newest of the longest
-  // queue — a decision driven solely by per-flow queue lengths, which the
-  // trace equality proves are backend-identical too).
-  WfqScheduler sched(WfqScheduler::Config{1e6, 24, 1.0, backend});
-  for (int f = 0; f < flows; ++f) {
-    sched.add_flow(f, w.weights[static_cast<std::size_t>(f)]);
-  }
-  return replay(
-      sched, w,
-      [](WfqScheduler& s, sim::Time now) { return s.virtual_time(now); },
-      /*unified=*/false);
-}
-
-BackendTrace run_unified(const Workload& w, int flows, OrderBackend backend) {
-  UnifiedScheduler::Config cfg;
-  cfg.link_rate = 1e6;
-  cfg.capacity_pkts = 24;
-  cfg.num_predicted_classes = 2;
-  cfg.fifo_plus = true;
-  cfg.stale_offset_threshold = 0.05;  // exercise dequeue-time discards
-  cfg.order_backend = backend;
-  UnifiedScheduler sched(cfg);
-  // A third of the flows get guaranteed service (their packets with
-  // cls==3 use the WFQ outer layer); the rest map to predicted classes.
-  for (int f = 0; f < flows; f += 3) {
-    sched.add_guaranteed(f, w.weights[static_cast<std::size_t>(f)] + 100.0);
-  }
-  for (int f = 1; f < flows; f += 3) sched.set_predicted_priority(f, f % 2);
-  return replay(
-      sched, w,
-      [](UnifiedScheduler& s, sim::Time now) { return s.virtual_time(now); },
-      /*unified=*/true);
-}
-
-constexpr int kSeeds = 10;
-constexpr int kFlowCounts[] = {3, 16, 100};
-
-TEST(OrderBackendDiff, WfqDeparturesAndVtimeBitIdentical) {
-  for (int flows : kFlowCounts) {
-    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-      const Workload w = make_workload(seed, flows);
-      const BackendTrace ref = run_wfq(w, flows, OrderBackend::kHeap);
-      EXPECT_GT(ref.events.size(), 0u);
-      for (OrderBackend backend : kBackends) {
-        if (backend == OrderBackend::kHeap) continue;
-        const BackendTrace got = run_wfq(w, flows, backend);
-        expect_identical(ref, got, backend,
-                         "wfq seed=" + std::to_string(seed) +
-                             " flows=" + std::to_string(flows));
+      if (idx.on_calendar() != was_calendar) {
+        was_calendar = idx.on_calendar();
+        (was_calendar ? to_calendar : to_heap) += 1;
+        // The switch happens exactly at the thresholds.
+        if (was_calendar) {
+          EXPECT_GE(idx.size(), Index::kCalendarAt);
+        } else {
+          EXPECT_LE(idx.size(), Index::kHeapAt);
+        }
       }
     }
+    // Both migrations really happened, many times over.
+    EXPECT_GE(to_calendar, 5) << "seed " << seed;
+    EXPECT_GE(to_heap, 5) << "seed " << seed;
   }
-}
-
-TEST(OrderBackendDiff, UnifiedDeparturesAndVtimeBitIdentical) {
-  for (int flows : kFlowCounts) {
-    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-      const Workload w = make_workload(seed, flows);
-      const BackendTrace ref = run_unified(w, flows, OrderBackend::kHeap);
-      EXPECT_GT(ref.events.size(), 0u);
-      for (OrderBackend backend : kBackends) {
-        if (backend == OrderBackend::kHeap) continue;
-        const BackendTrace got = run_unified(w, flows, backend);
-        expect_identical(ref, got, backend,
-                         "unified seed=" + std::to_string(seed) +
-                             " flows=" + std::to_string(flows));
-      }
-    }
-  }
-}
-
-// The workloads above must actually exercise the interesting machinery —
-// otherwise "identical traces" would be vacuous.  Pushout drops, stale
-// discards and a non-trivial V(t) all have to appear.
-TEST(OrderBackendDiff, WorkloadsExerciseDropsAndDiscards) {
-  const Workload w = make_workload(/*seed=*/1, /*flows=*/16);
-  const BackendTrace wfq = run_wfq(w, 16, OrderBackend::kCalendar);
-  std::size_t drops = 0;
-  for (const TraceEvent& e : wfq.events) {
-    if (e.kind == TraceEvent::Kind::kDrop) ++drops;
-  }
-  EXPECT_GT(drops, 0u) << "pushout path never ran";
-  EXPECT_GT(wfq.vtimes.back(), 0.0);
-
-  UnifiedScheduler::Config cfg;
-  cfg.capacity_pkts = 24;
-  cfg.stale_offset_threshold = 0.05;
-  UnifiedScheduler sched(cfg);
-  sched.set_predicted_priority(1, 0);
-  (void)replay(
-      sched, w,
-      [](UnifiedScheduler& s, sim::Time now) { return s.virtual_time(now); },
-      /*unified=*/true);
-  EXPECT_GT(sched.stale_discards(), 0u) << "stale-discard path never ran";
 }
 
 }  // namespace
-}  // namespace ispn::sched
+}  // namespace ispn
